@@ -5,8 +5,10 @@ Exit codes: 0 success, 2 input/schema error, 3 solver precondition violation,
 are CSV, and files are written atomically (temp file + rename).
 
 The environment variable MEASURE_FW_THREADS caps the worker count used for
-grid evaluation (0 or unset = auto); results are reduced in submission
-order, so thread count never changes the output.
+grid evaluation (0 or unset = auto).  Workers evaluate the same fixed-size
+blocks that a single-threaded evaluation processes one after another (the
+kernel's `block`), whatever the worker count, so the thread count never
+changes the output.
 """
 
 from __future__ import annotations
@@ -158,13 +160,14 @@ def _check_budget_match(measure: DiscreteMeasure, problem: Problem) -> None:
 
 
 def _grid_h_values(kernel: InfluenceKernel, pts: np.ndarray) -> np.ndarray:
-    workers = worker_count()
-    if workers <= 1 or len(pts) < 2048:
+    # the pool gets exactly the blocks one `kernel.influence(pts)` call would
+    # evaluate, so every value is computed by the same array operations
+    blocks = [pts[lo : lo + kernel.block] for lo in range(0, len(pts), kernel.block)]
+    workers = min(worker_count(), len(blocks))
+    if workers <= 1:
         return kernel.influence(pts)
-    chunks = np.array_split(pts, workers * 4)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(kernel.influence, chunks))
-    return np.concatenate(parts)
+        return np.concatenate(list(pool.map(kernel.influence, blocks)))
 
 
 def cmd_influence_map(args) -> int:

@@ -161,7 +161,7 @@ class ConvexPolygon:
     `ConvexPolygon(vertices)` is idempotent on already-canonical input.
     """
 
-    __slots__ = ("vertices", "_area", "_diameter")
+    __slots__ = ("vertices", "_area", "_diameter", "_edges", "_edge_len", "_edge_sq")
 
     def __init__(self, vertices):
         pts = as_points(vertices)
@@ -177,6 +177,11 @@ class ConvexPolygon:
             self._area = 0.0
         d = pairwise_distance(v, v, L2)
         self._diameter = float(d.max())
+        # edge i runs from vertex i to vertex i + 1 (cyclically)
+        e = np.roll(v, -1, axis=0) - v
+        self._edges = e
+        self._edge_len = np.hypot(e[:, 0], e[:, 1])
+        self._edge_sq = np.einsum("ed,ed->e", e, e)
 
     @property
     def n_vertices(self) -> int:
@@ -205,14 +210,12 @@ def convex_hull(points) -> ConvexPolygon:
     return ConvexPolygon(pts)
 
 
-def _edge_arrays(poly: ConvexPolygon):
-    v = poly.vertices
-    return v, np.roll(v, -1, axis=0)
-
-
 def contains_many(poly: ConvexPolygon, pts) -> np.ndarray:
     """Boolean mask: which of the (k, 2) points lie in the closed polygon."""
-    pts = as_points(pts)
+    return _contains(poly, as_points(pts))
+
+
+def _contains(poly: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
     v = poly.vertices
     atol = 1e-9 * (1.0 + poly.diameter)
     if len(v) == 1:
@@ -224,13 +227,11 @@ def contains_many(poly: ConvexPolygon, pts) -> np.ndarray:
         t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
         feet = a + t[:, None] * ab
         return np.hypot(*(pts - feet).T) <= atol
-    a, b = _edge_arrays(poly)
-    e = b - a  # (E, 2)
-    elen = np.hypot(e[:, 0], e[:, 1])
+    e = poly._edges
     # signed perpendicular distance of each point from each CCW edge
-    cross = (e[:, 0][:, None] * (pts[:, 1][None, :] - a[:, 1][:, None])
-             - e[:, 1][:, None] * (pts[:, 0][None, :] - a[:, 0][:, None]))
-    return np.all(cross / elen[:, None] >= -atol, axis=0)
+    cross = (e[:, 0][:, None] * (pts[:, 1][None, :] - v[:, 1][:, None])
+             - e[:, 1][:, None] * (pts[:, 0][None, :] - v[:, 0][:, None]))
+    return np.all(cross / poly._edge_len[:, None] >= -atol, axis=0)
 
 
 def contains(poly: ConvexPolygon, p) -> bool:
@@ -244,15 +245,13 @@ def project_many(poly: ConvexPolygon, pts) -> np.ndarray:
     v = poly.vertices
     if len(v) == 1:
         return np.broadcast_to(v[0], pts.shape).copy()
-    inside = contains_many(poly, pts)
+    inside = _contains(poly, pts)
     if np.all(inside):
         return pts
     out = pts[~inside]
-    a, b = _edge_arrays(poly)
-    if len(v) == 2:
-        a, b = a[:1], b[:1]
-    e = b - a
-    denom = np.einsum("ed,ed->e", e, e)
+    a, e, denom = v, poly._edges, poly._edge_sq
+    if len(v) == 2:  # a segment has one edge, not two
+        a, e, denom = a[:1], e[:1], denom[:1]
     t = np.clip(np.einsum("ked,ed->ke", out[:, None, :] - a[None, :, :], e) / denom, 0.0, 1.0)
     feet = a[None, :, :] + t[:, :, None] * e[None, :, :]  # (k, E, 2)
     d2 = np.sum((feet - out[:, None, :]) ** 2, axis=2)

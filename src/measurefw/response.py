@@ -4,7 +4,9 @@ Everything rests on one observation: for a finite atomic measure, the ball
 mass t -> mu(B(y, t)) seen from a demand point y is a nondecreasing step
 function that jumps at the sorted atom distances.  Integrals against the
 death curve therefore reduce to finite sums over segments with constant
-mass -- no quadrature, exact up to floating point.
+mass -- no quadrature, exact up to floating point.  `InfluenceKernel` builds
+the segment tables once per measure; each query then finds its segment with
+a branchless binary search over the row's padded sorted distances.
 
 All Stieltjes integrals run over (0, inf), carrying total curve mass
 1 - beta(0); the raw death probability is beta(0) plus the objective, and
@@ -17,7 +19,14 @@ import numpy as np
 
 from .geometry import L2, norm_key, pairwise_distance
 from .measure import DiscreteMeasure
-from .scenario import DeathCurve, DiscretePoints, beta, beta_prime, sample_incident
+from .scenario import (
+    DeathCurve,
+    DiscretePoints,
+    _beta_prime_values,
+    _beta_values,
+    beta,
+    sample_incident,
+)
 
 __all__ = [
     "SampleBatch",
@@ -36,6 +45,9 @@ __all__ = [
 
 _SINGULAR_EPS = 1e-9
 _CHUNK_ELEMS = 4_000_000  # soft cap on (demand x query) matrix entries
+# cap on query points per chunk, so that a grid over few demand points still
+# splits into blocks for the influence-map workers
+_CHUNK_POINTS = 4096
 
 
 class SampleBatch:
@@ -84,37 +96,25 @@ def demand_of(eta_or_batch):
     )
 
 
-def _row_searchsorted(sorted_rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Per-row searchsorted(side='right') for nonnegative values.
-
-    `sorted_rows` is (n, m) ascending in each row; `queries` is (n, ...) with
-    leading axis n.  Rows are packed into one flat sorted array by adding a
-    per-row offset larger than the global value range, so a single
-    searchsorted call handles all rows.  Exact ties are preserved (identical
-    offsets are added to both sides); values closer than the offset-induced
-    quantization (~1e-11 relative) may flip segment, which is harmless since
-    the tail integral is continuous across segment boundaries.
-    """
-    n, m = sorted_rows.shape
-    if m == 0:
-        return np.zeros(queries.shape, dtype=np.intp)
-    top = float(sorted_rows[:, -1].max())
-    if queries.size:
-        top = max(top, float(queries.max()))
-    width = top + 1.0
-    offs = width * np.arange(n)
-    flat = (sorted_rows + offs[:, None]).ravel()
-    q_off = queries + offs.reshape((n,) + (1,) * (queries.ndim - 1))
-    pos = np.searchsorted(flat, q_off.ravel(), side="right").reshape(queries.shape)
-    return pos - (np.arange(n, dtype=np.intp) * m).reshape((n,) + (1,) * (queries.ndim - 1))
-
-
 class InfluenceKernel:
     """Closed-form evaluator for one measure against fixed demand points.
 
-    Precomputes, per demand point, the sorted atom distances, cumulative
-    closed-ball masses and suffix tail integrals, after which the objective,
-    influence values and influence gradients are O(n m) array operations.
+    The constructor sorts each demand point's atom distances and lays the
+    per-segment quantities out in row-padded flat tables of width P, the
+    smallest power of two above the atom count m.  Row i, column k describes
+    the segment entered once k atoms lie in the closed ball:
+
+    - `_dist_flat`: sorted distances d_0..d_{m-1}, then NaN padding;
+    - `_cum_flat`: the segment's ball mass (0, cum_0, .., cum_{m-1});
+    - `_decay_flat`: its e^{-mass} (1, decay_0, .., decay_{m-1});
+    - `_bval_flat`: beta at the segment's end (beta(d_0), .., beta(d_{m-1}), 1);
+    - `_tail_flat`: the tail integral from the segment's end onwards.
+
+    A query radius r is located by a branchless binary search (`_segments`)
+    that returns the closed-ball count k directly as a flat table index, so
+    the objective, influence values and influence gradients are a few
+    vectorised passes over (demand x query) arrays.  `influence` works
+    through its query points in chunks of `block` points.
     """
 
     def __init__(self, atoms, weights, demand_points, demand_probs, curve, norm, budget=None):
@@ -128,63 +128,85 @@ class InfluenceKernel:
         n, m = len(self.demand), len(self.atoms)
         if m == 0:
             raise ValueError("measure must have at least one atom")
+        # query points per chunk of `influence`; callers that split a query
+        # set on multiples of it get the same result as one call
+        self.block = max(1, min(_CHUNK_ELEMS // max(n, 1), _CHUNK_POINTS))
 
         dist = pairwise_distance(self.demand, self.atoms, self.norm)  # (n, m)
         order = np.argsort(dist, axis=1, kind="stable")
-        self.dist = np.take_along_axis(dist, order, axis=1)
-        self.cum = np.cumsum(w[order], axis=1)
-        self.decay = np.exp(-self.cum)
-        self.bval = beta(curve, self.dist)
-        self.beta0 = beta(curve, 0.0)
+        width = 1 << m.bit_length()  # P > m, so every count 0..m has a column
+        tables = np.full((5, n, width), np.nan)
+        dist_t, cum_t, decay_t, bval_t, tail_t = tables
+        dist_t[:, :m] = np.take_along_axis(dist, order, axis=1)
+        cum_t[:, 0] = 0.0
+        cum_t[:, 1 : m + 1] = np.cumsum(w[order], axis=1)
+        decay_t[:, 0] = 1.0
+        decay_t[:, 1 : m + 1] = np.exp(-cum_t[:, 1 : m + 1])
+        bval_t[:, :m] = beta(curve, dist_t[:, :m])
+        bval_t[:, m] = 1.0
 
         # segment j (0-based) spans [d_j, d_{j+1}) with mass cum_j; the head
         # segment [0, d_0) carries zero mass, the last one runs to infinity.
-        bnext = np.concatenate([self.bval[:, 1:], np.ones((n, 1))], axis=1)
-        seg = self.decay * (bnext - self.bval)  # (n, m)
-        head = self.bval[:, 0] - self.beta0  # (n,)
+        bval = bval_t[:, :m]
+        seg = decay_t[:, 1 : m + 1] * (bval_t[:, 1 : m + 1] - bval)  # (n, m)
+        head = bval[:, 0] - beta(curve, 0.0)  # (n,)
         # tail[:, j] = integral of e^{-mass} d(beta) over [d_j, inf)
-        self.tail = np.concatenate(
-            [np.cumsum(seg[:, ::-1], axis=1)[:, ::-1], np.zeros((n, 1))], axis=1
-        )
-        self.survival_values = head + self.tail[:, 0]
+        tail_t[:, :m] = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
+        tail_t[:, m] = 0.0
+        self.survival_values = head + tail_t[:, 0]
         # per-demand constant of the influence integrand: int W e^{-W} d(beta)
-        self.h_const_terms = np.sum(self.cum * seg, axis=1)
+        self.h_const_terms = np.sum(cum_t[:, 1 : m + 1] * seg, axis=1)
         self.h_const = float(self.probs @ self.h_const_terms)
+
+        self._row_start = np.arange(n, dtype=np.intp) * width
+        self._dist_flat, self._cum_flat, self._decay_flat, self._bval_flat, self._tail_flat = (
+            t.reshape(-1) for t in tables)
+        # search steps P/2, .., 1, each with the distance table offset by
+        # step - 1, so that index k reads the probe d_{k + step - 1}
+        self._probes = [(1 << j, self._dist_flat[(1 << j) - 1 :])
+                        for j in reversed(range(m.bit_length()))]
 
     def objective(self) -> float:
         return float(self.probs @ self.survival_values)
 
+    def _segments(self, radii: np.ndarray) -> np.ndarray:
+        """Flat table index row * P + k, k = #{atoms with d <= r}; radii is (n, ...).
+
+        Radii must not be NaN.  Padding compares false, so the search never
+        moves past column m; each pass halves the step and costs one gather
+        and one comparison.
+        """
+        shape = (len(self._row_start),) + (1,) * (radii.ndim - 1)
+        idx = np.empty(radii.shape, dtype=np.intp)
+        idx[...] = self._row_start.reshape(shape)
+        probe = np.empty(radii.shape)
+        hit = np.empty(radii.shape, dtype=bool)
+        for step, shifted in self._probes:
+            np.take(shifted, idx, out=probe, mode="clip")
+            np.less_equal(probe, radii, out=hit)
+            idx += hit * step
+        return idx
+
     def tails(self, radii: np.ndarray) -> np.ndarray:
         """Tail integrals int_r^inf e^{-mass(t)} d(beta)(t); radii is (n, ...)."""
-        k = _row_searchsorted(self.dist, radii)
-        km1 = np.maximum(k - 1, 0)
-        m = self.dist.shape[1]
-        # r falls in the segment holding constant mass cum_{k-1} (0 for k=0),
-        # which ends at d_k (infinity once k = m); split the tail there.
-        decay_k = np.where(k > 0, np.take_along_axis(self.decay, km1, axis=1), 1.0)
-        seg_end = np.where(
-            k < m, np.take_along_axis(self.bval, np.minimum(k, m - 1), axis=1), 1.0
-        )
-        tail_k = np.take_along_axis(self.tail, k, axis=1)
-        return tail_k + decay_k * (seg_end - beta(self.curve, radii))
+        idx = self._segments(radii)
+        # r lies in the segment of mass cum_{k-1} (0 for k = 0), which ends at
+        # d_k (infinity once k = m); split the tail there.
+        return np.take(self._tail_flat, idx) + np.take(self._decay_flat, idx) * (
+            np.take(self._bval_flat, idx) - _beta_values(self.curve, radii))
 
     def ball_masses(self, radii: np.ndarray) -> np.ndarray:
         """Closed-ball masses mu(B(y_i, r)) for per-demand radii (n, ...)."""
-        k = _row_searchsorted(self.dist, radii)
-        km1 = np.maximum(k - 1, 0)
-        return np.where(k > 0, np.take_along_axis(self.cum, km1, axis=1), 0.0)
+        return np.take(self._cum_flat, self._segments(radii))
 
     def influence(self, xs) -> np.ndarray:
         """Influence values at query points xs (k, 2); returns (k,)."""
-        xs = np.asarray(xs, dtype=float).reshape(-1, 2)
-        n = len(self.demand)
+        xs = _query_points(xs)
         out = np.empty(len(xs))
-        step = max(1, _CHUNK_ELEMS // max(n, 1))
+        step = self.block
         for lo in range(0, len(xs), step):
-            chunk = xs[lo : lo + step]
-            r = pairwise_distance(self.demand, chunk, self.norm)
-            t = self.tails(r)
-            out[lo : lo + step] = self.h_const - self.budget * (self.probs @ t)
+            r = pairwise_distance(self.demand, xs[lo : lo + step], self.norm)
+            out[lo : lo + step] = self.h_const - self.budget * (self.probs @ self.tails(r))
         return out
 
     def influence_gradient(self, xs, *, on_singular="raise") -> np.ndarray:
@@ -196,19 +218,29 @@ class InfluenceKernel:
         """
         if self.norm != L2:
             raise ValueError("influence gradient is only available under the L2 norm")
-        xs = np.asarray(xs, dtype=float).reshape(-1, 2)
-        diff = xs[None, :, :] - self.demand[:, None, :]  # (n, k, 2)
-        r = np.hypot(diff[:, :, 0], diff[:, :, 1])  # (n, k)
+        xs = _query_points(xs)
+        dx = xs[:, 0] - self.demand[:, 0][:, None]  # (n, k)
+        dy = xs[:, 1] - self.demand[:, 1][:, None]
+        r = np.hypot(dx, dy)
         singular = r < _SINGULAR_EPS
         if singular.any():
             if on_singular == "raise":
                 raise ValueError("gradient singular at demand point")
             r = np.where(singular, 1.0, r)
-        mass = self.ball_masses(r)
-        coef = self.budget * self.probs[:, None] * np.exp(-mass) * beta_prime(self.curve, r) / r
+        decay = np.take(self._decay_flat, self._segments(r))  # e^{-mass(B(y, r))}
+        coef = (self.budget * self.probs[:, None] * decay
+                * _beta_prime_values(self.curve, r) / r)
         if singular.any():
             coef = np.where(singular, 0.0, coef)
-        return np.einsum("nk,nkd->kd", coef, diff)
+        return np.column_stack([np.einsum("nk,nk->k", coef, dx), np.einsum("nk,nk->k", coef, dy)])
+
+
+def _query_points(xs) -> np.ndarray:
+    """Query points as a (k, 2) float array; raises on non-finite coordinates."""
+    xs = np.asarray(xs, dtype=float).reshape(-1, 2)
+    if not np.isfinite(xs).all():
+        raise ValueError("query point coordinates must be finite")
+    return xs
 
 
 def survival_integral(mu: DiscreteMeasure, y, curve: DeathCurve, norm=L2) -> float:

@@ -61,16 +61,33 @@ class DeathCurve:
             raise ValueError("death curve intercept a must be nonnegative for strict concavity")
 
 
+def _beta_values(curve: DeathCurve, arr: np.ndarray) -> np.ndarray:
+    """beta over an array of response times, without validating them."""
+    z = curve.a + curve.c * arr
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _beta_prime_values(curve: DeathCurve, arr: np.ndarray) -> np.ndarray:
+    """beta' over an array of response times, without validating them."""
+    z = curve.a + curve.c * arr
+    ez = np.exp(-z)
+    return curve.c * ez / (1.0 + ez) ** 2
+
+
+def _response_times(t) -> np.ndarray:
+    arr = np.asarray(t, dtype=float)
+    if np.any(np.isnan(arr)) or np.any(arr < 0):
+        raise ValueError("response time must be nonnegative")
+    return arr
+
+
 def beta(curve: DeathCurve, t):
     """Death probability at response time t >= 0; beta(inf) = 1 exactly.
 
     Accepts scalars or arrays; +inf is a valid input.
     """
-    arr = np.asarray(t, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr < 0):
-        raise ValueError("response time must be nonnegative")
-    z = curve.a + curve.c * arr
-    out = 1.0 / (1.0 + np.exp(-z))
+    arr = _response_times(t)
+    out = _beta_values(curve, arr)
     if np.isscalar(t) or arr.ndim == 0:
         return float(out)
     return out
@@ -78,12 +95,8 @@ def beta(curve: DeathCurve, t):
 
 def beta_prime(curve: DeathCurve, t):
     """Derivative of the death curve: c e^{a+ct} / (1 + e^{a+ct})^2."""
-    arr = np.asarray(t, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr < 0):
-        raise ValueError("response time must be nonnegative")
-    z = curve.a + curve.c * arr
-    ez = np.exp(-z)
-    out = curve.c * ez / (1.0 + ez) ** 2
+    arr = _response_times(t)
+    out = _beta_prime_values(curve, arr)
     if np.isscalar(t) or arr.ndim == 0:
         return float(out)
     return out

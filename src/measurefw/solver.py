@@ -161,8 +161,6 @@ class _SimplexObjective:
     """
 
     def __init__(self, support, demand_pts, demand_probs, curve, norm, budget):
-        from .response import _row_searchsorted
-
         self.support = np.asarray(support, dtype=float)
         self.probs = np.asarray(demand_probs, dtype=float)
         self.b = float(budget)
@@ -173,8 +171,11 @@ class _SimplexObjective:
         n, m = dist.shape
         self.dbeta = np.concatenate([bd[:, 1:], np.ones((n, 1))], axis=1) - bd
         self.head = float(self.probs @ (bd[:, 0] - beta(curve, 0.0)))
-        # sorted position of each atom's own radius, ties counted (closed ball)
-        self.k_atom = _row_searchsorted(self.d, dist)
+        # one past each atom's own sorted position: the segments between it
+        # and atoms tied with it have zero width, so its tail integral is the
+        # closed-ball one exactly
+        self.k_atom = np.empty_like(self.order)
+        np.put_along_axis(self.k_atom, self.order, np.arange(1, m + 1), axis=1)
 
     def _decay(self, p):
         w = (np.maximum(p, 0.0) * self.b)[self.order]

@@ -4,8 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from measurefw import DiscreteMeasure, SolveTrace, load_scenario, two_point_optimum
+from measurefw import DeathCurve, DiscreteMeasure, SolveTrace, load_scenario, two_point_optimum
 from measurefw.cli import main
+from measurefw.response import InfluenceKernel
+
+CURVE = DeathCurve()
 
 SQRT3 = 3.0**0.5
 
@@ -154,19 +157,51 @@ def test_influence_map_single_cell(two_point_file, tmp_path):
     assert len(out.read_text().strip().splitlines()) == 2
 
 
-def test_influence_map_thread_count_invariance(three_point_file, tmp_path, monkeypatch):
-    uni = DiscreteMeasure([[0, 0], [1, 0], [0.5, SQRT3 / 2]], [1 / 3] * 3, 1.0)
-    mfile = tmp_path / "uni.json"
-    _write_measure(mfile, uni)
+def test_influence_map_thread_count_invariance(tmp_path, monkeypatch):
+    # 60 x 60 demand grid on the unit square: the kernel's blocks hold ~1,100
+    # points, so the 2,304 in-domain cells span three blocks
+    side = np.linspace(0.0, 1.0, 60)
+    gx, gy = np.meshgrid(side, side)
+    demand = np.column_stack([gx.ravel(), gy.ravel()])
+    probs = np.full(len(demand), 1.0 / len(demand))
+    scenario = tmp_path / "grid.json"
+    scenario.write_text(json.dumps({"budget": 2.0, "norm": "l2", "eta": {
+        "type": "discrete", "points": demand.tolist(), "probs": probs.tolist()}}))
+    mu = DiscreteMeasure([[0.2, 0.3], [0.7, 0.6], [0.4, 0.9]], [0.5, 1.0, 0.5], 2.0)
+    mfile = tmp_path / "mu.json"
+    _write_measure(mfile, mu)
+    kernel = InfluenceKernel(mu.points, mu.weights, demand, probs, CURVE, "l2", budget=2.0)
+    resolution = 48
+    assert resolution**2 > 2048 and resolution**2 > 2 * kernel.block
     outputs = []
-    for workers in ("1", "4"):
+    for workers in ("1", "2", "4"):
         monkeypatch.setenv("MEASURE_FW_THREADS", workers)
         out = tmp_path / f"map_{workers}.csv"
-        rc = main(["influence-map", "--scenario", three_point_file, "--measure",
-                   str(mfile), "--resolution", "60", "--out", str(out)])
+        rc = main(["influence-map", "--scenario", str(scenario), "--measure",
+                   str(mfile), "--resolution", str(resolution), "--out", str(out)])
         assert rc == 0
         outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    assert all(o.count(b"\n") == 1 + resolution**2 for o in outputs)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_nonfinite_query_points_exit_3(tmp_path):
+    # the bounding box of these demand points is wider than the largest
+    # float, so the certify and map lattices hold non-finite points
+    doc = {"budget": 1.0, "norm": "l2", "eta": {
+        "type": "discrete", "points": [[-1e308, 0], [1e308, 0], [0, 1e308]],
+        "probs": [0.25, 0.25, 0.5]}}
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps(doc))
+    mfile = tmp_path / "mu.json"
+    _write_measure(mfile, DiscreteMeasure([[0.0, 0.0]], [1.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["certify", "--scenario", str(scenario), "--measure", str(mfile),
+                   "--grid", "5", "--tol", "1e-3"])
+        assert rc == 3
+        rc = main(["influence-map", "--scenario", str(scenario), "--measure", str(mfile),
+                   "--resolution", "5", "--out", str(tmp_path / "map.csv")])
+        assert rc == 3
 
 
 def test_influence_map_budget_mismatch_exits_3(two_point_file, tmp_path):

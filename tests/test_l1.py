@@ -15,6 +15,9 @@ from measurefw import (
     two_point_optimum,
     vertex_argmin_check,
 )
+from measurefw.geometry import pairwise_distance
+from measurefw.response import correction_gradient
+from measurefw.solver import _SimplexObjective
 from helpers import CURVE, rand_discrete_eta, rand_measure
 
 FAST = dict(inner_restarts=4, adam_steps=40, correction_steps=40)
@@ -164,6 +167,25 @@ def test_l1_solve_beats_free_support_fcfw():
     j_grid = objective_exact(mu_grid, prob.eta, CURVE, "l1")
     j_free = objective_exact(mu_free, prob.eta, CURVE, "l1")
     assert j_grid <= j_free + 1e-6
+
+
+def test_simplex_gradient_with_tied_l1_distances():
+    # integer demand points: the L1 distances from the grid vertices tie exactly
+    rng = np.random.default_rng(31)
+    pts = rng.integers(0, 4, size=(8, 2)).astype(float)
+    probs = rng.random(8) + 0.1
+    problem = Problem(DiscretePoints(pts, probs / probs.sum()), budget=2.5, norm="l1")
+    verts = build_grid(problem.eta.points).vertices
+    d = pairwise_distance(problem.eta.points, verts, "l1")
+    assert any(len(np.unique(row)) < len(row) for row in d)
+    obj = _SimplexObjective(verts, problem.eta.points, problem.eta.probs, CURVE, "l1",
+                            problem.budget)
+    for _ in range(5):
+        p = rng.random(len(verts)) * (rng.random(len(verts)) < 0.6)
+        p = p / p.sum()
+        _, grad = obj.value_and_grad(p)
+        np.testing.assert_allclose(grad, correction_gradient(verts, p, problem),
+                                   rtol=0, atol=1e-12)
 
 
 def test_l1_solve_preconditions():

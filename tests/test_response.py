@@ -20,6 +20,7 @@ from measurefw import (
     survival_integral,
     tv_distance,
 )
+from measurefw.geometry import pairwise_distance
 from measurefw.response import InfluenceKernel
 from helpers import (
     CURVE,
@@ -219,6 +220,47 @@ def test_influence_gradient_fd_and_symmetry():
         assert g @ (x - y) > 0
     with pytest.raises(ValueError, match="singular"):
         influence_gradient(mu, y, eta1, CURVE)
+
+
+def test_nonfinite_queries_raise():
+    kernel = InfluenceKernel(TRI_UNIFORM.points, TRI_UNIFORM.weights, TRI.points, TRI.probs,
+                             CURVE, "l2")
+    for bad in (np.nan, np.inf, -np.inf):
+        xs = np.array([[0.2, 0.3], [bad, 0.1]])
+        with pytest.raises(ValueError, match="finite"):
+            kernel.influence(xs)
+        with pytest.raises(ValueError, match="finite"):
+            kernel.influence_gradient(xs)
+
+
+def _brute_tail(w, d, r):
+    """int_r^inf e^{-mass(t)} d(beta)(t), one term per constant-mass segment."""
+    cuts = np.concatenate([[r], np.unique(d[d > r]), [np.inf]])
+    return sum(np.exp(-w[d <= lo].sum()) * (beta(CURVE, hi) - beta(CURVE, lo))
+               for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 7, 8, 15, 16])
+def test_segment_tables_match_brute_force(m):
+    # atom counts at and around the power-of-two table widths; integer
+    # coordinates make many distances tie exactly, and one atom sits on a
+    # demand point
+    rng = np.random.default_rng(100 + m)
+    n = 5
+    demand = rng.integers(-3, 4, size=(n, 2)).astype(float)
+    atoms = rng.integers(-3, 4, size=(m, 2)).astype(float)
+    atoms[0] = demand[0]
+    w = rng.random(m) + 0.1
+    for norm in ("l1", "l2"):
+        kernel = InfluenceKernel(atoms, w, demand, np.full(n, 1 / n), CURVE, norm)
+        d = pairwise_distance(demand, atoms, norm)
+        radii = np.hstack([d, np.zeros((n, 1)), d.max(axis=1, keepdims=True) + 1.0,
+                           rng.uniform(0.0, 8.0, size=(n, 3))])
+        want_mass = np.array([[w[d[i] <= r].sum() for r in row] for i, row in enumerate(radii)])
+        want_tail = np.array([[_brute_tail(w, d[i], r) for r in row]
+                              for i, row in enumerate(radii)])
+        np.testing.assert_allclose(kernel.ball_masses(radii), want_mass, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(kernel.tails(radii), want_tail, rtol=1e-13, atol=0)
 
 
 def test_directional_derivative():
