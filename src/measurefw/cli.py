@@ -27,12 +27,13 @@ import numpy as np
 
 from . import __version__
 from .geometry import contains_many
-from .measure import DiscreteMeasure
+from .measure import DiscreteMeasure, check_budget
 from .l1 import l1_solve_on_grid
-from .response import InfluenceKernel, demand_of, simulate_objective
-from .scenario import DiscretePoints, Problem, ScenarioError, load_scenario, make_city
+from .response import InfluenceKernel, simulate_objective
+from .scenario import ScenarioError, load_scenario, make_city
 from .solver import (
     SolverConfig,
+    _resolve_demand,
     certify,
     dfw_solve,
     fcfw_solve,
@@ -94,10 +95,6 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _load_problem(path: str) -> Problem:
-    return load_scenario(path)
-
-
 def _load_measure(path: str) -> DiscreteMeasure:
     p = Path(path)
     if not p.is_file():
@@ -125,7 +122,7 @@ def _config_from_args(args) -> SolverConfig:
 
 
 def cmd_solve(args) -> int:
-    problem = _load_problem(args.scenario)
+    problem = load_scenario(args.scenario)
     config = _config_from_args(args)
     rng = np.random.default_rng(config.seed)
     if args.algo == "fcfw":
@@ -152,13 +149,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _check_budget_match(measure: DiscreteMeasure, problem: Problem) -> None:
-    if abs(measure.budget - problem.budget) > 1e-9 * max(1.0, problem.budget):
-        raise ValueError(
-            f"measure budget {measure.budget} does not match scenario budget {problem.budget}"
-        )
-
-
 def _grid_h_values(kernel: InfluenceKernel, pts: np.ndarray) -> np.ndarray:
     # the pool gets exactly the blocks one `kernel.influence(pts)` call would
     # evaluate, so every value is computed by the same array operations
@@ -171,18 +161,11 @@ def _grid_h_values(kernel: InfluenceKernel, pts: np.ndarray) -> np.ndarray:
 
 
 def cmd_influence_map(args) -> int:
-    problem = _load_problem(args.scenario)
+    problem = load_scenario(args.scenario)
     measure = _load_measure(args.measure)
-    _check_budget_match(measure, problem)
-    config = SolverConfig(seed=args.seed)
-    demand = problem.eta
-    if not isinstance(demand, DiscretePoints):
-        from .response import SampleBatch
-
-        demand = SampleBatch.draw(problem.eta, config.mc_batch_size, config.seed)
-    dpts, dprobs = demand_of(demand)
-    kernel = InfluenceKernel(measure.points, measure.weights, dpts, dprobs,
-                             problem.curve, problem.norm, budget=problem.budget)
+    check_budget(measure, problem.budget)
+    demand = _resolve_demand(problem, SolverConfig(seed=args.seed))
+    kernel = InfluenceKernel.of(measure, demand, problem.curve, problem.norm)
     pts = lattice_points(problem.domain, args.resolution, inside_only=False)
     inside = contains_many(problem.domain, pts)
     h = np.full(len(pts), np.nan)
@@ -198,11 +181,9 @@ def cmd_influence_map(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    problem = _load_problem(args.scenario)
+    problem = load_scenario(args.scenario)
     measure = _load_measure(args.measure)
-    _check_budget_match(measure, problem)
-    config = SolverConfig(seed=args.seed)
-    min_h, argmin = certify(measure, problem, args.grid, config)
+    min_h, argmin = certify(measure, problem, args.grid, SolverConfig(seed=args.seed))
     certified = min_h >= -args.tol
     verdict = f"OPTIMAL({args.tol:g})" if certified else "NOT-OPTIMAL"
     print(f"min_h={min_h!r} argmin=({float(argmin[0])!r}, {float(argmin[1])!r}) "
@@ -218,9 +199,9 @@ def cmd_oracle(args) -> int:
         mu = two_point_optimum(args.y1, args.y2, lam1, lam2, args.budget)
         print(json.dumps(mu.to_json(), indent=2))
         return EXIT_OK
-    problem = _load_problem(args.scenario)
+    problem = load_scenario(args.scenario)
     measure = _load_measure(args.measure)
-    _check_budget_match(measure, problem)
+    check_budget(measure, problem.budget)
     rng = np.random.default_rng(args.seed)
     est, se = simulate_objective(measure, problem.eta, problem.curve, problem.norm,
                                  args.reps, rng)

@@ -118,10 +118,7 @@ def _interior_samples(rect: Rect, rng, n: int) -> np.ndarray:
 
 
 def _influence_on(mu: DiscreteMeasure, problem: Problem, xs) -> np.ndarray:
-    eta = problem.eta
-    kernel = InfluenceKernel(mu.points, mu.weights, eta.points, eta.probs,
-                             problem.curve, L1, budget=problem.budget)
-    return kernel.influence(xs)
+    return InfluenceKernel.of(mu, problem.eta, problem.curve, L1).influence(xs)
 
 
 def concavity_check(mu: DiscreteMeasure, problem: Problem, grid: DemandGrid,

@@ -16,6 +16,7 @@ __all__ = [
     "MERGE_EPS",
     "DiscreteMeasure",
     "ball_mass",
+    "check_budget",
     "tv_distance",
     "restrict_to_domain",
     "merge_and_prune",
@@ -34,21 +35,13 @@ def _cluster_points(points: np.ndarray, weights: np.ndarray, eps: float):
     pairs = cKDTree(points).query_pairs(eps, output_type="ndarray")
     if len(pairs) == 0:
         return points, weights
-    parent = np.arange(len(points))
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    roots = np.array([find(i) for i in range(len(points))])
-    labels, inverse = np.unique(roots, return_inverse=True)
-    k = len(labels)
+    n = len(points)
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    # components are numbered in order of their lowest-index member
+    k, inverse = connected_components(graph, directed=False)
     wsum = np.zeros(k)
     np.add.at(wsum, inverse, weights)
     cx = np.zeros(k)
@@ -142,15 +135,19 @@ def ball_mass(mu: DiscreteMeasure, center, radius: float, norm="l2") -> float:
     return float(mu.weights[d <= radius].sum())
 
 
+def check_budget(mu: DiscreteMeasure, budget: float) -> None:
+    """Raise ValueError unless mu's budget equals `budget` within the relative tolerance."""
+    if abs(mu.budget - budget) > _BUDGET_RTOL * max(1.0, abs(budget)):
+        raise ValueError(f"budget mismatch: measure budget {mu.budget}, expected {budget}")
+
+
 def tv_distance(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
     """Total variation distance between two measures of equal budget.
 
     For discrete measures with a common budget this is half the sum of
     absolute weight differences over the union of atom locations.
     """
-    scale = max(1.0, abs(mu1.budget))
-    if abs(mu1.budget - mu2.budget) > _BUDGET_RTOL * scale:
-        raise ValueError("budget mismatch")
+    check_budget(mu2, mu1.budget)
     allpts = np.vstack([mu1.points, mu2.points])
     _, inverse = np.unique(allpts, axis=0, return_inverse=True)
     diff = np.zeros(inverse.max() + 1)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import L2, norm_key, pairwise_distance
-from .measure import DiscreteMeasure
+from .measure import DiscreteMeasure, check_budget
 from .scenario import (
     DeathCurve,
     DiscretePoints,
@@ -96,6 +96,26 @@ def demand_of(eta_or_batch):
     )
 
 
+def _sorted_support(demand_points, atoms, curve, norm):
+    """Each demand row's atom distances in stable sorted order, with beta at segment ends.
+
+    Returns (order, d, bd, dbeta), all (n, m): the sort permutation, the
+    sorted distances, beta(d) and the rise of beta over each segment
+    [d_j, d_{j+1}), with beta = 1 at the end of the last one.
+    """
+    dist = pairwise_distance(demand_points, atoms, norm)
+    order = np.argsort(dist, axis=1, kind="stable")
+    d = np.take_along_axis(dist, order, axis=1)
+    bd = beta(curve, d)
+    dbeta = np.concatenate([bd[:, 1:], np.ones((len(d), 1))], axis=1) - bd
+    return order, d, bd, dbeta
+
+
+def _suffix_sums(seg: np.ndarray) -> np.ndarray:
+    """Row-wise sums from each column to the end: tail integrals from segment terms."""
+    return np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
+
+
 class InfluenceKernel:
     """Closed-form evaluator for one measure against fixed demand points.
 
@@ -132,26 +152,24 @@ class InfluenceKernel:
         # set on multiples of it get the same result as one call
         self.block = max(1, min(_CHUNK_ELEMS // max(n, 1), _CHUNK_POINTS))
 
-        dist = pairwise_distance(self.demand, self.atoms, self.norm)  # (n, m)
-        order = np.argsort(dist, axis=1, kind="stable")
+        order, d, bd, dbeta = _sorted_support(self.demand, self.atoms, curve, self.norm)
         width = 1 << m.bit_length()  # P > m, so every count 0..m has a column
         tables = np.full((5, n, width), np.nan)
         dist_t, cum_t, decay_t, bval_t, tail_t = tables
-        dist_t[:, :m] = np.take_along_axis(dist, order, axis=1)
+        dist_t[:, :m] = d
         cum_t[:, 0] = 0.0
         cum_t[:, 1 : m + 1] = np.cumsum(w[order], axis=1)
         decay_t[:, 0] = 1.0
         decay_t[:, 1 : m + 1] = np.exp(-cum_t[:, 1 : m + 1])
-        bval_t[:, :m] = beta(curve, dist_t[:, :m])
+        bval_t[:, :m] = bd
         bval_t[:, m] = 1.0
 
         # segment j (0-based) spans [d_j, d_{j+1}) with mass cum_j; the head
         # segment [0, d_0) carries zero mass, the last one runs to infinity.
-        bval = bval_t[:, :m]
-        seg = decay_t[:, 1 : m + 1] * (bval_t[:, 1 : m + 1] - bval)  # (n, m)
-        head = bval[:, 0] - beta(curve, 0.0)  # (n,)
+        seg = decay_t[:, 1 : m + 1] * dbeta  # (n, m)
+        head = bd[:, 0] - beta(curve, 0.0)  # (n,)
         # tail[:, j] = integral of e^{-mass} d(beta) over [d_j, inf)
-        tail_t[:, :m] = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
+        tail_t[:, :m] = _suffix_sums(seg)
         tail_t[:, m] = 0.0
         self.survival_values = head + tail_t[:, 0]
         # per-demand constant of the influence integrand: int W e^{-W} d(beta)
@@ -165,6 +183,12 @@ class InfluenceKernel:
         # step - 1, so that index k reads the probe d_{k + step - 1}
         self._probes = [(1 << j, self._dist_flat[(1 << j) - 1 :])
                         for j in reversed(range(m.bit_length()))]
+
+    @classmethod
+    def of(cls, mu: DiscreteMeasure, eta_or_batch, curve, norm) -> "InfluenceKernel":
+        """Kernel of a measure against a discrete eta or a SampleBatch, at mu's budget."""
+        pts, probs = demand_of(eta_or_batch)
+        return cls(mu.points, mu.weights, pts, probs, curve, norm, budget=mu.budget)
 
     def objective(self) -> float:
         return float(self.probs @ self.survival_values)
@@ -249,10 +273,7 @@ def survival_integral(mu: DiscreteMeasure, y, curve: DeathCurve, norm=L2) -> flo
     The value lies in (0, 1 - beta(0)]: it is the death probability excess
     contributed by incidents at y under volunteer measure mu.
     """
-    kernel = InfluenceKernel(
-        mu.points, mu.weights, np.reshape(np.asarray(y, dtype=float), (1, 2)), np.ones(1),
-        curve, norm, budget=mu.budget,
-    )
+    kernel = InfluenceKernel.of(mu, DiscretePoints([y], [1.0]), curve, norm)
     return float(kernel.survival_values[0])
 
 
@@ -260,36 +281,27 @@ def objective_exact(mu: DiscreteMeasure, eta, curve: DeathCurve, norm=L2) -> flo
     """Exact objective for a discrete incident distribution."""
     if not isinstance(eta, DiscretePoints):
         raise TypeError("objective_exact requires a discrete eta; use objective_mc")
-    kernel = InfluenceKernel(
-        mu.points, mu.weights, eta.points, eta.probs, curve, norm, budget=mu.budget
-    )
-    return kernel.objective()
+    return InfluenceKernel.of(mu, eta, curve, norm).objective()
 
 
 def objective_mc(mu: DiscreteMeasure, batch: SampleBatch, curve: DeathCurve, norm=L2) -> float:
     """Sample-average objective over a frozen batch of incident draws."""
-    pts, probs = demand_of(batch)
-    kernel = InfluenceKernel(mu.points, mu.weights, pts, probs, curve, norm, budget=mu.budget)
-    return kernel.objective()
+    return InfluenceKernel.of(mu, batch, curve, norm).objective()
 
 
 def influence(mu: DiscreteMeasure, x, eta_or_batch, curve: DeathCurve, norm=L2):
     """Influence function h_mu at x (single point or (k, 2) array)."""
-    pts, probs = demand_of(eta_or_batch)
-    kernel = InfluenceKernel(mu.points, mu.weights, pts, probs, curve, norm, budget=mu.budget)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    vals = kernel.influence(x.reshape(-1, 2))
+    vals = InfluenceKernel.of(mu, eta_or_batch, curve, norm).influence(x.reshape(-1, 2))
     return float(vals[0]) if single else vals
 
 
 def influence_gradient(mu: DiscreteMeasure, x, eta_or_batch, curve: DeathCurve):
     """Gradient of h_mu at x; Euclidean norm; x must avoid demand points."""
-    pts, probs = demand_of(eta_or_batch)
-    kernel = InfluenceKernel(mu.points, mu.weights, pts, probs, curve, L2, budget=mu.budget)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    grads = kernel.influence_gradient(x.reshape(-1, 2))
+    grads = InfluenceKernel.of(mu, eta_or_batch, curve, L2).influence_gradient(x.reshape(-1, 2))
     return grads[0] if single else grads
 
 
@@ -300,9 +312,7 @@ def directional_derivative(
 
     Equals (1/b) E_{x ~ nu}[h_mu(x)] for measures of equal budget b.
     """
-    scale = max(1.0, abs(mu.budget))
-    if abs(mu.budget - nu.budget) > 1e-9 * scale:
-        raise ValueError("budget mismatch")
+    check_budget(nu, mu.budget)
     if mu.budget <= 0:
         raise ValueError("budget must be positive")
     h = influence(mu, nu.points, eta_or_batch, curve, norm)

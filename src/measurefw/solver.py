@@ -20,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import L1, L2, ConvexPolygon, pairwise_distance, project_many, sample_uniform
-from .measure import MERGE_EPS, DiscreteMeasure
-from .response import InfluenceKernel, SampleBatch, demand_of, smoothness_constant
+from .geometry import L1, L2, ConvexPolygon, contains_many, project_many, sample_uniform
+from .measure import MERGE_EPS, DiscreteMeasure, check_budget
+from .response import (InfluenceKernel, SampleBatch, _sorted_support, _suffix_sums,
+                       correction_gradient, demand_of, smoothness_constant)
 from .scenario import DiscretePoints, Problem, beta
 
 __all__ = [
@@ -155,21 +156,19 @@ def simplex_project(v) -> np.ndarray:
 class _SimplexObjective:
     """J restricted to measures sum_i p_i b delta_{x_i} on a fixed support.
 
-    Distances and their sort order are precomputed once, so each evaluation
-    of the value or gradient is a cumulative sum plus a few elementwise
-    passes over an (n_demand, n_support) array.
+    Distances and their sort order are precomputed once (the same sorted
+    support `InfluenceKernel` builds), so each evaluation of the value or
+    gradient is a cumulative sum plus a few elementwise passes over an
+    (n_demand, n_support) array.
     """
 
     def __init__(self, support, demand_pts, demand_probs, curve, norm, budget):
         self.support = np.asarray(support, dtype=float)
         self.probs = np.asarray(demand_probs, dtype=float)
         self.b = float(budget)
-        dist = pairwise_distance(demand_pts, self.support, norm)  # (n, m)
-        self.order = np.argsort(dist, axis=1, kind="stable")
-        self.d = np.take_along_axis(dist, self.order, axis=1)
-        bd = beta(curve, self.d)
-        n, m = dist.shape
-        self.dbeta = np.concatenate([bd[:, 1:], np.ones((n, 1))], axis=1) - bd
+        self.order, self.d, bd, self.dbeta = _sorted_support(demand_pts, self.support,
+                                                             curve, norm)
+        m = self.order.shape[1]
         self.head = float(self.probs @ (bd[:, 0] - beta(curve, 0.0)))
         # one past each atom's own sorted position: the segments between it
         # and atoms tied with it have zero width, so its tail integral is the
@@ -190,8 +189,7 @@ class _SimplexObjective:
         seg = e * self.dbeta
         j = self.head + float(self.probs @ seg.sum(axis=1))
         # suffix sums give the tail integral from each atom's own radius
-        suffix = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
-        t_atoms = np.take_along_axis(suffix, self.k_atom - 1, axis=1)
+        t_atoms = np.take_along_axis(_suffix_sums(seg), self.k_atom - 1, axis=1)
         grad = -self.b * (self.probs @ t_atoms)
         return j, grad
 
@@ -227,8 +225,8 @@ def _corrective_step0(config: SolverConfig, budget: float) -> float:
 def fully_corrective(support, p_init, problem: Problem, eta_or_batch, config: SolverConfig):
     """Reoptimize simplex weights over a fixed support; never increases J."""
     support = np.asarray(support, dtype=float).reshape(-1, 2)
-    dpts, dprobs = demand_of(eta_or_batch if eta_or_batch is not None else problem.eta)
-    obj = _SimplexObjective(support, dpts, dprobs, problem.curve, problem.norm, problem.budget)
+    demand = demand_of(eta_or_batch if eta_or_batch is not None else problem.eta)
+    obj = _SimplexObjective(support, *demand, problem.curve, problem.norm, problem.budget)
     p, _ = _pgd_simplex(obj, p_init, config.correction_steps, _corrective_step0(config, problem.budget))
     return p
 
@@ -239,8 +237,6 @@ def kkt_residual(support, p, problem: Problem, eta_or_batch=None, active_tol=1e-
     At an optimum the gradient is constant over the active coordinates; the
     residual is the largest deviation from that common value.
     """
-    from .response import correction_gradient
-
     g = correction_gradient(support, p, problem, eta_or_batch)
     active = np.asarray(p) > active_tol
     if not np.any(active):
@@ -323,12 +319,11 @@ def minimize_influence(mu: DiscreteMeasure, problem: Problem, config: SolverConf
 
     Candidates are multi-restart projected-Adam finishers plus the support
     atoms and (for discrete eta) the demand points, so the returned value is
-    nonpositive even when Adam stalls.
+    nonpositive even when Adam stalls.  mu's budget must be the problem's.
     """
+    check_budget(mu, problem.budget)
     demand = eta_or_batch if eta_or_batch is not None else problem.eta
-    dpts, dprobs = demand_of(demand)
-    kernel = InfluenceKernel(mu.points, mu.weights, dpts, dprobs,
-                             problem.curve, problem.norm, budget=problem.budget)
+    kernel = InfluenceKernel.of(mu, demand, problem.curve, problem.norm)
     return _minimize_influence_kernel(kernel, problem, config, rng)
 
 
@@ -337,6 +332,43 @@ def _resolve_demand(problem: Problem, config: SolverConfig):
     if isinstance(problem.eta, DiscretePoints):
         return problem.eta
     return SampleBatch.draw(problem.eta, config.mc_batch_size, config.seed)
+
+
+def _frank_wolfe(problem: Problem, config: SolverConfig, rng, update):
+    """Outer loop shared by `fcfw_solve` and `dfw_solve`; returns (mu, trace).
+
+    Each iteration records J and the subproblem's (x*, h*), then adds x* to
+    the support with weight 0 (or reuses an atom within MERGE_EPS of it) and
+    calls `update(k, support, weights, i, h_star, demand)`, where i indexes
+    x*'s atom and demand is (points, probs); it returns the next support and
+    weights.  Weights are absolute (they sum to b).
+    """
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
+    b = problem.budget
+    demand = demand_of(_resolve_demand(problem, config))
+    extra = _l1_axis_candidates(demand[0]) if problem.norm == L1 else None
+
+    support = _random_in_domain(problem.domain, rng, 1)
+    weights = np.array([b])
+    trace = SolveTrace()
+    t0 = time.perf_counter()
+    for k in range(config.max_outer_iters):
+        kernel = InfluenceKernel(support, weights, *demand, problem.curve, problem.norm,
+                                 budget=b)
+        j_k = kernel.objective()
+        x_star, h_star = _minimize_influence_kernel(kernel, problem, config, rng, extra)
+        trace.append(k, j_k, h_star, x_star, len(support), time.perf_counter() - t0)
+        if abs(h_star) < config.fw_tolerance:
+            break
+        dist_new = np.hypot(*(support - x_star).T)
+        i = int(np.argmin(dist_new))
+        if dist_new[i] > MERGE_EPS:
+            support = np.vstack([support, x_star])
+            weights = np.append(weights, 0.0)
+            i = len(weights) - 1
+        support, weights = update(k, support, weights, i, h_star, demand)
+    return DiscreteMeasure(support, weights, budget=b), trace
 
 
 def fcfw_solve(problem: Problem, config: SolverConfig, rng=None):
@@ -349,50 +381,27 @@ def fcfw_solve(problem: Problem, config: SolverConfig, rng=None):
     the sufficient-decrease inequality holds step by step and the recorded
     objective is nonincreasing.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     b = problem.budget
     lip = smoothness_constant(b)
     radius = b  # total-variation diameter of the fixed-budget feasible set
-    demand = _resolve_demand(problem, config)
-    dpts, dprobs = demand_of(demand)
-    extra = _l1_axis_candidates(dpts) if problem.norm == L1 else None
+    step0 = _corrective_step0(config, b)
 
-    support = _random_in_domain(problem.domain, rng, 1)
-    p = np.ones(1)
-    trace = SolveTrace()
-    t0 = time.perf_counter()
-    for k in range(config.max_outer_iters):
-        kernel = InfluenceKernel(support, p * b, dpts, dprobs,
-                                 problem.curve, problem.norm, budget=b)
-        j_k = kernel.objective()
-        x_star, h_star = _minimize_influence_kernel(kernel, problem, config, rng, extra)
-        trace.append(k, j_k, h_star, x_star, len(support), time.perf_counter() - t0)
-        if abs(h_star) < config.fw_tolerance:
-            break
-        dist_new = np.hypot(*(support - x_star).T)
-        j_near = int(np.argmin(dist_new))
-        if dist_new[j_near] <= MERGE_EPS:
-            sup2, p2, idx_new = support, p, j_near
-        else:
-            sup2 = np.vstack([support, x_star])
-            p2 = np.append(p, 0.0)
-            idx_new = len(p2) - 1
-        obj = _SimplexObjective(sup2, dpts, dprobs, problem.curve, problem.norm, b)
+    def corrective(k, support, weights, i, h_star, demand):
+        obj = _SimplexObjective(support, *demand, problem.curve, problem.norm, b)
+        p = weights / b
         # analytic short step toward the new atom; starting the descent from
         # the better of warm/short-step weights makes the sufficient-decrease
         # bound hold exactly
         t_k = min(max(-b * h_star / (lip * radius * radius), 0.0), 1.0)
-        p_mid = (1.0 - t_k) * p2
-        p_mid[idx_new] += t_k
-        start = p2 if obj.value(p2) <= obj.value(p_mid) else p_mid
-        p_new, _ = _pgd_simplex(obj, start, config.correction_steps,
-                                _corrective_step0(config, b))
-        keep = p_new > 0.0
-        support, p = sup2[keep], p_new[keep]
-        p = p / p.sum()
-    mu = DiscreteMeasure(support, p * b, budget=b)
-    return mu, trace
+        p_mid = (1.0 - t_k) * p
+        p_mid[i] += t_k
+        start = p if obj.value(p) <= obj.value(p_mid) else p_mid
+        p, _ = _pgd_simplex(obj, start, config.correction_steps, step0)
+        keep = p > 0.0
+        p = p[keep]
+        return support[keep], p / p.sum() * b
+
+    return _frank_wolfe(problem, config, rng, corrective)
 
 
 def dfw_solve(problem: Problem, config: SolverConfig, rng=None):
@@ -402,40 +411,18 @@ def dfw_solve(problem: Problem, config: SolverConfig, rng=None):
     rescaling; atoms whose weight decays below 1e-12 b are pruned with
     proportional redistribution.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     b = problem.budget
-    demand = _resolve_demand(problem, config)
-    dpts, dprobs = demand_of(demand)
-    extra = _l1_axis_candidates(dpts) if problem.norm == L1 else None
-
-    support = _random_in_domain(problem.domain, rng, 1)
-    weights = np.array([b])
-    trace = SolveTrace()
-    t0 = time.perf_counter()
     floor = 1e-12 * b
-    for k in range(config.max_outer_iters):
-        kernel = InfluenceKernel(support, weights, dpts, dprobs,
-                                 problem.curve, problem.norm, budget=b)
-        j_k = kernel.objective()
-        x_star, h_star = _minimize_influence_kernel(kernel, problem, config, rng, extra)
-        trace.append(k, j_k, h_star, x_star, len(support), time.perf_counter() - t0)
-        if abs(h_star) < config.fw_tolerance:
-            break
+
+    def averaging(k, support, weights, i, h_star, demand):
         eta_k = 2.0 / (k + 2.0)
         weights = weights * (1.0 - eta_k)
-        dist_new = np.hypot(*(support - x_star).T)
-        j_near = int(np.argmin(dist_new))
-        if dist_new[j_near] <= MERGE_EPS:
-            weights[j_near] += eta_k * b
-        else:
-            support = np.vstack([support, x_star])
-            weights = np.append(weights, eta_k * b)
+        weights[i] += eta_k * b
         keep = weights >= floor
-        support, weights = support[keep], weights[keep]
-        weights = weights * (b / weights.sum())
-    mu = DiscreteMeasure(support, weights, budget=b)
-    return mu, trace
+        weights = weights[keep]
+        return support[keep], weights * (b / weights.sum())
+
+    return _frank_wolfe(problem, config, rng, averaging)
 
 
 def two_point_optimum(y1, y2, lambda1: float, lambda2: float, budget: float) -> DiscreteMeasure:
@@ -463,24 +450,23 @@ def certify(mu: DiscreteMeasure, problem: Problem, grid_resolution: int,
     """Global influence sweep: lattice over the domain plus Adam refinement.
 
     Returns (min_h, argmin).  The measure is approximately optimal at
-    tolerance tau iff min_h >= -tau.
+    tolerance tau iff min_h >= -tau.  mu's budget must be the problem's.
     """
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be >= 1")
+    check_budget(mu, problem.budget)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     demand = eta_or_batch
     if demand is None:
         demand = _resolve_demand(problem, config)
-    dpts, dprobs = demand_of(demand)
-    kernel = InfluenceKernel(mu.points, mu.weights, dpts, dprobs,
-                             problem.curve, problem.norm, budget=problem.budget)
+    kernel = InfluenceKernel.of(mu, demand, problem.curve, problem.norm)
     pts = lattice_points(problem.domain, grid_resolution, inside_only=True)
     pools = [pts, mu.points]
     if isinstance(problem.eta, DiscretePoints):
         pools.append(problem.eta.points)
     if problem.norm == L1:
-        pools.append(_l1_axis_candidates(dpts))
+        pools.append(_l1_axis_candidates(kernel.demand))
     cands = np.vstack(pools)
     h = kernel.influence(cands)
     if problem.norm == L2 and problem.domain.diameter > 0:
@@ -496,8 +482,6 @@ def certify(mu: DiscreteMeasure, problem: Problem, grid_resolution: int,
 
 def lattice_points(domain: ConvexPolygon, resolution: int, inside_only: bool = False):
     """Regular resolution x resolution lattice over the domain bounding box."""
-    from .geometry import contains_many
-
     box = domain.bounding_box()
     if resolution == 1:
         axes = (np.array([(box.lo[0] + box.hi[0]) / 2.0]),

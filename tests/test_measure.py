@@ -139,6 +139,13 @@ def test_merge_and_prune():
     merged = merge_and_prune(near, merge_eps=1e-3)
     assert merged.n_atoms == 1
     assert np.allclose(merged.points[0], [0.75e-4, 0.0])  # weight-weighted centroid
+    # single linkage: a-b and b-c lie within eps, a-c does not, all three merge
+    chain = DiscreteMeasure([[0, 0], [2, 2], [6e-4, 0], [1.2e-3, 0]], [0.1, 0.4, 0.2, 0.3],
+                            merge_eps=0.0)
+    merged = merge_and_prune(chain, merge_eps=1e-3)
+    assert merged.n_atoms == 2
+    assert np.allclose(merged.points, [[(0.2 * 6e-4 + 0.3 * 1.2e-3) / 0.6, 0.0], [2, 2]])
+    assert np.allclose(merged.weights, [0.6, 0.4])
     with pytest.raises(ValueError, match="empty measure"):
         merge_and_prune(DiscreteMeasure([[0, 0]], [1.0]), weight_tol=2.0)
     with pytest.raises(ValueError):

@@ -216,6 +216,29 @@ def test_dfw_first_step_and_rate():
     assert np.all(gaps[1:] <= 2 * lips * radius**2 / (ks[1:] + 2) + 1e-9)
 
 
+def test_fcfw_and_dfw_share_the_first_iteration():
+    # both loops draw the same start atom and solve the same first subproblem;
+    # they differ only in the weight update that follows
+    cfg = SolverConfig(max_outer_iters=6, **FAST, seed=17)
+    for prob in (TRI_PROBLEM, Problem(TRI, budget=3.0)):
+        mu_fc, tr_fc = fcfw_solve(prob, cfg)
+        mu_d, tr_d = dfw_solve(prob, cfg)
+        assert _trajectory(tr_fc)[0] == _trajectory(tr_d)[0]
+        for mu in (mu_fc, mu_d):
+            assert abs(mu.weights.sum() - prob.budget) <= 1e-9 * prob.budget
+
+
+def test_budget_mismatch_rejected():
+    # at the wrong budget the zero-mean identity fails and the influence
+    # minimum can be positive, which would read as a certificate
+    mu = two_point_optimum([0, 0], [1, 0], 0.5, 0.5, 2.0)
+    cfg = SolverConfig(**FAST)
+    with pytest.raises(ValueError, match="budget mismatch"):
+        certify(mu, TWO_PROBLEM, 20, cfg)
+    with pytest.raises(ValueError, match="budget mismatch"):
+        minimize_influence(mu, TWO_PROBLEM, cfg, np.random.default_rng(0))
+
+
 def test_fcfw_dominates_dfw_eventually():
     cfg = SolverConfig(max_outer_iters=40, **FAST, seed=13)
     _, tr_fc = fcfw_solve(TWO_PROBLEM, cfg)
