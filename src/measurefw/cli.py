@@ -161,6 +161,8 @@ def _grid_h_values(kernel: InfluenceKernel, pts: np.ndarray) -> np.ndarray:
 
 
 def cmd_influence_map(args) -> int:
+    if args.resolution < 1:
+        raise ScenarioError(f"--resolution must be at least 1, got {args.resolution}")
     problem = load_scenario(args.scenario)
     measure = _load_measure(args.measure)
     check_budget(measure, problem.budget)
@@ -171,16 +173,25 @@ def cmd_influence_map(args) -> int:
     h = np.full(len(pts), np.nan)
     if inside.any():
         h[inside] = _grid_h_values(kernel, pts[inside])
-    lines = ["x,y,h"]
-    for (x, y), ok, val in zip(pts, inside, h):
-        x, y = float(x), float(y)
-        lines.append(f"{x!r},{y!r},{float(val)!r}" if ok else f"{x!r},{y!r},")
-    _write_atomic(Path(args.out), "\n".join(lines) + "\n")
+    # str(float) is repr(float), so every value round-trips exactly; 4,096
+    # cells at a time keep few Python floats alive at once
+    parts = ["x,y,h\n"]
+    for lo in range(0, len(pts), 4096):
+        rows = slice(lo, lo + 4096)
+        cells = h[rows].astype(object)
+        cells[~inside[rows]] = ""
+        parts.append("".join(map("{},{},{}\n".format, pts[rows, 0].tolist(),
+                                 pts[rows, 1].tolist(), cells.tolist())))
+    _write_atomic(Path(args.out), "".join(parts))
     print(f"wrote {args.out} ({int(inside.sum())} in-domain cells of {len(pts)})")
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
+    if args.grid < 1:
+        raise ScenarioError(f"--grid must be at least 1, got {args.grid}")
+    if not args.tol >= 0:  # also rejects NaN
+        raise ScenarioError(f"--tol must be nonnegative, got {args.tol!r}")
     problem = load_scenario(args.scenario)
     measure = _load_measure(args.measure)
     min_h, argmin = certify(measure, problem, args.grid, SolverConfig(seed=args.seed))

@@ -22,8 +22,8 @@ import numpy as np
 
 from .geometry import L1, L2, ConvexPolygon, contains_many, project_many, sample_uniform
 from .measure import MERGE_EPS, DiscreteMeasure, check_budget
-from .response import (InfluenceKernel, SampleBatch, _sorted_support, _suffix_sums,
-                       correction_gradient, demand_of, smoothness_constant)
+from .response import (InfluenceKernel, SampleBatch, _sorted_support, correction_gradient,
+                       demand_of, smoothness_constant)
 from .scenario import DiscretePoints, Problem, beta
 
 __all__ = [
@@ -157,9 +157,12 @@ class _SimplexObjective:
     """J restricted to measures sum_i p_i b delta_{x_i} on a fixed support.
 
     Distances and their sort order are precomputed once (the same sorted
-    support `InfluenceKernel` builds), so each evaluation of the value or
-    gradient is a cumulative sum plus a few elementwise passes over an
-    (n_demand, n_support) array.
+    support `InfluenceKernel` builds), so an evaluation is a cumulative sum
+    plus a few elementwise passes over an (n_demand, n_support) array.  Each
+    point's segment terms are computed once: the last point evaluated is kept
+    (as a copy, compared by value) with its terms and J, so `value_and_grad`
+    at the point `value` just accepted only adds the suffix sums and the
+    gradient.
     """
 
     def __init__(self, support, demand_pts, demand_probs, curve, norm, budget):
@@ -168,28 +171,33 @@ class _SimplexObjective:
         self.b = float(budget)
         self.order, self.d, bd, self.dbeta = _sorted_support(demand_pts, self.support,
                                                              curve, norm)
-        m = self.order.shape[1]
+        n, m = self.order.shape
         self.head = float(self.probs @ (bd[:, 0] - beta(curve, 0.0)))
-        # one past each atom's own sorted position: the segments between it
-        # and atoms tied with it have zero width, so its tail integral is the
-        # closed-ball one exactly
-        self.k_atom = np.empty_like(self.order)
-        np.put_along_axis(self.k_atom, self.order, np.arange(1, m + 1), axis=1)
+        # flat index of each atom's tail in the (n, m) table of cumulative sums
+        # over the reversed segment terms: an atom at sorted position k reads
+        # column m - 1 - k, the tail from its own radius (the segments between
+        # it and atoms tied with it have zero width, so this is the
+        # closed-ball tail exactly)
+        self._tail_index = np.empty_like(self.order)
+        np.put_along_axis(self._tail_index, self.order,
+                          np.arange(m - 1, -1, -1) + np.arange(0, n * m, m)[:, None], axis=1)
+        self._last = (None, None, None)  # (p, segment terms, J)
 
-    def _decay(self, p):
-        w = (np.maximum(p, 0.0) * self.b)[self.order]
-        return np.exp(-np.cumsum(w, axis=1))
+    def _evaluate(self, p):
+        last_p, seg, j = self._last
+        if last_p is None or not np.array_equal(p, last_p):
+            w = (np.maximum(p, 0.0) * self.b)[self.order]
+            seg = np.exp(-np.cumsum(w, axis=1)) * self.dbeta
+            j = self.head + float(self.probs @ np.sum(seg, axis=1))
+            self._last = (np.array(p, dtype=float), seg, j)
+        return seg, j
 
     def value(self, p) -> float:
-        e = self._decay(p)
-        return self.head + float(self.probs @ np.sum(e * self.dbeta, axis=1))
+        return self._evaluate(p)[1]
 
     def value_and_grad(self, p):
-        e = self._decay(p)
-        seg = e * self.dbeta
-        j = self.head + float(self.probs @ seg.sum(axis=1))
-        # suffix sums give the tail integral from each atom's own radius
-        t_atoms = np.take_along_axis(_suffix_sums(seg), self.k_atom - 1, axis=1)
+        seg, j = self._evaluate(p)
+        t_atoms = np.take(np.cumsum(seg[:, ::-1], axis=1), self._tail_index)
         grad = -self.b * (self.probs @ t_atoms)
         return j, grad
 

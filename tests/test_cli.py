@@ -6,7 +6,9 @@ import pytest
 
 from measurefw import DeathCurve, DiscreteMeasure, SolveTrace, load_scenario, two_point_optimum
 from measurefw.cli import main
+from measurefw.geometry import contains_many
 from measurefw.response import InfluenceKernel
+from measurefw.solver import lattice_points
 
 CURVE = DeathCurve()
 
@@ -144,6 +146,44 @@ def test_influence_map_marks_out_of_domain_cells(three_point_file, tmp_path):
     lines = out.read_text().strip().splitlines()[1:]
     n_empty = sum(1 for l in lines if l.endswith(","))
     assert 0 < n_empty < len(lines)
+
+
+def test_influence_map_csv_matches_per_cell_repr(three_point_file, tmp_path):
+    # 4,900 cells: more than one formatting chunk, on both sides of the domain edge
+    mu = DiscreteMeasure([[0.1, 0.1], [0.8, 0.2], [0.5, 0.6]], [0.2, 0.3, 0.5], 1.0)
+    mfile = tmp_path / "mu.json"
+    _write_measure(mfile, mu)
+    out = tmp_path / "map.csv"
+    rc = main(["influence-map", "--scenario", three_point_file, "--measure", str(mfile),
+               "--resolution", "70", "--out", str(out)])
+    assert rc == 0
+    problem = load_scenario(three_point_file)
+    pts = lattice_points(problem.domain, 70)
+    inside = contains_many(problem.domain, pts)
+    assert 0 < inside.sum() < len(pts)
+    h = InfluenceKernel.of(mu, problem.eta, CURVE, "l2").influence(pts[inside])
+    lines, vals = ["x,y,h"], iter(h)
+    for (x, y), ok in zip(pts, inside):
+        cell = f"{float(x)!r},{float(y)!r},"
+        lines.append(cell + repr(float(next(vals))) if ok else cell)
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_invalid_numeric_arguments_exit_2(two_point_file, tmp_path, capsys):
+    mfile = tmp_path / "mu.json"
+    _write_measure(mfile, two_point_optimum([0, 0], [1, 0], 0.5, 0.5, 1.0))
+    common = ["--scenario", two_point_file, "--measure", str(mfile)]
+    for resolution in ("0", "-2"):
+        out = tmp_path / f"map{resolution}.csv"
+        rc = main(["influence-map", *common, "--resolution", resolution, "--out", str(out)])
+        assert rc == 2
+        assert "--resolution" in capsys.readouterr().err
+        assert not out.exists()
+    for flag, grid, tol in (("--tol", "20", "-1"), ("--tol", "20", "nan"),
+                            ("--grid", "0", "1e-3")):
+        rc = main(["certify", *common, "--grid", grid, "--tol", tol])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_influence_map_single_cell(two_point_file, tmp_path):

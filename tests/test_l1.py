@@ -17,7 +17,7 @@ from measurefw import (
 )
 from measurefw.geometry import pairwise_distance
 from measurefw.response import correction_gradient
-from measurefw.solver import _SimplexObjective
+from measurefw.solver import _pgd_simplex, _SimplexObjective
 from helpers import CURVE, rand_discrete_eta, rand_measure
 
 FAST = dict(inner_restarts=4, adam_steps=40, correction_steps=40)
@@ -214,3 +214,70 @@ def test_norm_ordering_and_cross_norm_optima():
     # and the norm ordering holds for both measures
     for mu in (mu_l1, mu_l2):
         assert objective_exact(mu, eta, CURVE, "l2") <= objective_exact(mu, eta, CURVE, "l1") + 1e-12
+
+
+def _tied_l1_objective_args(seed):
+    # integer demand points: the L1 distances from the grid vertices tie exactly
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 4, size=(8, 2)).astype(float)
+    probs = rng.random(8) + 0.1
+    verts = build_grid(pts).vertices
+    return rng, (verts, pts, probs / probs.sum(), CURVE, "l1", 2.5)
+
+
+def _l2_objective_args(seed):
+    rng = np.random.default_rng(seed)
+    eta = rand_discrete_eta(rng, n=12)
+    support = rng.uniform(-1, 1, size=(9, 2))
+    return rng, (support, eta.points, eta.probs, CURVE, "l2", 1.7)
+
+
+def _random_simplex_point(rng, m):
+    p = rng.random(m) * (rng.random(m) < 0.6)
+    p[0] += 0.1
+    return p / p.sum()
+
+
+@pytest.mark.parametrize("make", [_tied_l1_objective_args, _l2_objective_args])
+def test_simplex_objective_memo_matches_fresh_objective(make):
+    rng, args = make(5)
+    m = len(args[0])
+    p, q = _random_simplex_point(rng, m), _random_simplex_point(rng, m)
+    obj = _SimplexObjective(*args)
+    obj.value(p)
+    obj.value(q)
+    j, grad = obj.value_and_grad(p)
+    j_ref, grad_ref = _SimplexObjective(*args).value_and_grad(p)
+    assert j == j_ref and np.array_equal(grad, grad_ref)
+    assert obj.value(q) == _SimplexObjective(*args).value(q)
+    # a point changed in place after it was evaluated is a new point
+    r = p.copy()
+    obj.value(r)
+    r[:] = q
+    j, grad = obj.value_and_grad(r)
+    j_ref, grad_ref = _SimplexObjective(*args).value_and_grad(q)
+    assert j == j_ref and np.array_equal(grad, grad_ref)
+
+
+class _FreshObjective:
+    """Builds a new objective for every call, so no evaluation is reused."""
+
+    def __init__(self, args):
+        self.args = args
+
+    def value(self, p):
+        return _SimplexObjective(*self.args).value(p)
+
+    def value_and_grad(self, p):
+        return _SimplexObjective(*self.args).value_and_grad(p)
+
+
+@pytest.mark.parametrize("make", [_tied_l1_objective_args, _l2_objective_args])
+def test_pgd_simplex_with_memo_matches_fresh_objectives(make):
+    rng, args = make(9)
+    p0 = np.full(len(args[0]), 1.0 / len(args[0]))
+    step0 = 1.0 / args[-1] ** 2
+    p, j = _pgd_simplex(_SimplexObjective(*args), p0, 30, step0)
+    p_ref, j_ref = _pgd_simplex(_FreshObjective(args), p0, 30, step0)
+    assert np.array_equal(p, p_ref) and np.array_equal(j, j_ref)
+    assert j < _SimplexObjective(*args).value(p0)  # the descent moved
