@@ -105,20 +105,24 @@ def _load_measure(path: str) -> DiscreteMeasure:
         raise ScenarioError(f"malformed measure file: {exc}") from exc
 
 
+# `solve` option (argparse dest) -> the SolverConfig field it sets
+_SOLVE_FLAGS = {"iters": "max_outer_iters", "batch": "mc_batch_size", "tol": "fw_tolerance",
+                "restarts": "inner_restarts", "adam_steps": "adam_steps",
+                "correction_steps": "correction_steps"}
+
+
 def _config_from_args(args) -> SolverConfig:
-    cfg = SolverConfig(seed=args.seed)
-    if getattr(args, "iters", None) is not None:
-        cfg.max_outer_iters = args.iters
-    if getattr(args, "batch", None) is not None:
-        cfg.mc_batch_size = args.batch
-    if getattr(args, "tol", None) is not None:
-        cfg.fw_tolerance = args.tol
-    for name in ("restarts", "adam_steps", "correction_steps"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, "inner_restarts" if name == "restarts" else name, val)
-    cfg.__post_init__()
-    return cfg
+    """SolverConfig from the `solve` flags; a rejected value is an input error."""
+    given = {dest: getattr(args, dest) for dest in _SOLVE_FLAGS
+             if getattr(args, dest) is not None}
+    try:
+        return SolverConfig(seed=args.seed, **{_SOLVE_FLAGS[d]: v for d, v in given.items()})
+    except ValueError as exc:
+        # SolverConfig's messages read "<field> must be ..."
+        field, _, reason = str(exc).partition(" ")
+        dest = next(d for d in given if _SOLVE_FLAGS[d] == field)
+        flag = "--" + dest.replace("_", "-")
+        raise ScenarioError(f"{flag} {reason}, got {given[dest]!r}") from exc
 
 
 def cmd_solve(args) -> int:

@@ -74,8 +74,12 @@ def l1_solve_on_grid(problem: Problem, config: SolverConfig):
 
     Runs warm-started projected gradient rounds over all vertex weights; the
     per-round certificate is the influence minimum over the vertices, which
-    by piecewise concavity is the global minimum over the grid's span.
-    Requires a discrete eta and the L1 norm.
+    by piecewise concavity is the global minimum over the grid's span.  It
+    is read off the simplex gradient g: the influence at vertex i is
+    g_i + h_const, and the p-weighted influence over the support averages
+    to zero, so h_const = -p.g.  The support may include grid vertices
+    outside `problem.domain` (the grid spans the demand's bounding box, not
+    its hull).  Requires a discrete eta and the L1 norm.
     """
     if problem.norm != L1:
         raise ValueError("l1_solve_on_grid requires an L1-norm problem")
@@ -94,9 +98,8 @@ def l1_solve_on_grid(problem: Problem, config: SolverConfig):
     stalls = 0
     for k in range(config.max_outer_iters):
         p, j_k = _pgd_simplex(obj, p, config.correction_steps, step0)
-        kernel = InfluenceKernel(verts, p * b, eta.points, eta.probs,
-                                 problem.curve, L1, budget=b)
-        h_verts = kernel.influence(verts)
+        _, g = obj.value_and_grad(p)
+        h_verts = g - p @ g
         i = int(np.argmin(h_verts))
         atoms = int(np.sum(p * b > 1e-12 * b))
         trace.append(k, j_k, float(h_verts[i]), verts[i], atoms, time.perf_counter() - t0)

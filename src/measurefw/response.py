@@ -111,11 +111,6 @@ def _sorted_support(demand_points, atoms, curve, norm):
     return order, d, bd, dbeta
 
 
-def _suffix_sums(seg: np.ndarray) -> np.ndarray:
-    """Row-wise sums from each column to the end: tail integrals from segment terms."""
-    return np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
-
-
 class InfluenceKernel:
     """Closed-form evaluator for one measure against fixed demand points.
 
@@ -168,13 +163,14 @@ class InfluenceKernel:
         # segment [0, d_0) carries zero mass, the last one runs to infinity.
         seg = decay_t[:, 1 : m + 1] * dbeta  # (n, m)
         head = bd[:, 0] - beta(curve, 0.0)  # (n,)
-        # tail[:, j] = integral of e^{-mass} d(beta) over [d_j, inf)
-        tail_t[:, :m] = _suffix_sums(seg)
+        # tail[:, j] = integral of e^{-mass} d(beta) over [d_j, inf): the
+        # row-wise sum of the segment terms from column j to the end
+        tail_t[:, :m] = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
         tail_t[:, m] = 0.0
         self.survival_values = head + tail_t[:, 0]
         # per-demand constant of the influence integrand: int W e^{-W} d(beta)
-        self.h_const_terms = np.sum(cum_t[:, 1 : m + 1] * seg, axis=1)
-        self.h_const = float(self.probs @ self.h_const_terms)
+        h_const_terms = np.sum(cum_t[:, 1 : m + 1] * seg, axis=1)
+        self.h_const = float(self.probs @ h_const_terms)
 
         self._row_start = np.arange(n, dtype=np.intp) * width
         self._dist_flat, self._cum_flat, self._decay_flat, self._bval_flat, self._tail_flat = (

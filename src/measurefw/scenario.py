@@ -31,7 +31,6 @@ __all__ = [
     "support_hull",
     "Problem",
     "load_scenario",
-    "incident_to_json",
     "make_city",
 ]
 
@@ -268,27 +267,6 @@ def _incident_from_json(obj) -> IncidentDistribution:
             raise
         raise ScenarioError(f"malformed eta: {exc}") from exc
     raise ScenarioError(f"unknown eta type {kind!r}")
-
-
-def incident_to_json(eta: IncidentDistribution) -> dict:
-    if isinstance(eta, DiscretePoints):
-        return {
-            "type": "discrete",
-            "points": eta.points.tolist(),
-            "probs": eta.probs.tolist(),
-        }
-    if isinstance(eta, UniformRect):
-        r = eta.rect
-        return {"type": "uniform_rect", "rect": [*r.lo.tolist(), *r.hi.tolist()]}
-    if isinstance(eta, RectMixture):
-        return {
-            "type": "mixture",
-            "components": [
-                {"rect": [*r.lo.tolist(), *r.hi.tolist()], "prob": float(p)}
-                for r, p in zip(eta.rects, eta.probs)
-            ],
-        }
-    raise TypeError(f"unknown incident distribution type {type(eta).__name__}")
 
 
 def load_scenario(source) -> Problem:

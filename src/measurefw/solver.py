@@ -54,9 +54,6 @@ class SolverConfig:
     inner_restarts: int = 16
     adam_steps: int = 300
     adam_lr: float = 0.05
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     fw_tolerance: float = 0.0
     correction_steps: int = 100
     correction_lr: float = 1.0
@@ -68,10 +65,11 @@ class SolverConfig:
                      "correction_steps", "mc_batch_size"):
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("adam_lr", "adam_beta1", "adam_beta2", "adam_eps", "correction_lr"):
-            if float(getattr(self, name)) <= 0:
+        # written as `not x > 0` so that NaN is rejected too
+        for name in ("adam_lr", "correction_lr"):
+            if not float(getattr(self, name)) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.fw_tolerance < 0:
+        if not float(self.fw_tolerance) >= 0:
             raise ValueError("fw_tolerance must be nonnegative")
 
 
@@ -264,6 +262,12 @@ def _random_in_domain(domain: ConvexPolygon, rng, n: int) -> np.ndarray:
     return np.broadcast_to(v[0], (n, 2)).copy()
 
 
+# Adam's moment decay rates and denominator guard (the usual defaults)
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
+
 def _adam_descend(kernel: InfluenceKernel, domain: ConvexPolygon, starts: np.ndarray,
                   config: SolverConfig) -> np.ndarray:
     """Projected Adam on the influence surface, one lane per start point."""
@@ -271,14 +275,14 @@ def _adam_descend(kernel: InfluenceKernel, domain: ConvexPolygon, starts: np.nda
     x = starts.copy()
     m = np.zeros_like(x)
     v = np.zeros_like(x)
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     for t in range(1, config.adam_steps + 1):
         g = kernel.influence_gradient(x, on_singular="mask")
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * g * g
         mh = m / (1.0 - b1**t)
         vh = v / (1.0 - b2**t)
-        x = x - lr * mh / (np.sqrt(vh) + config.adam_eps)
+        x = x - lr * mh / (np.sqrt(vh) + _ADAM_EPS)
         x = project_many(domain, x)
     return x
 
@@ -296,23 +300,36 @@ def _l1_axis_candidates(points: np.ndarray, cap: int = 64) -> np.ndarray:
         xs = xs[np.unique(np.linspace(0, len(xs) - 1, cap).astype(int))]
     if len(ys) > cap:
         ys = ys[np.unique(np.linspace(0, len(ys) - 1, cap).astype(int))]
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel()])
+    # filled in place (x-major, like meshgrid "ij"): this runs once per
+    # subproblem, and one allocation costs half of meshgrid + column_stack
+    grid = np.empty((len(xs), len(ys), 2))
+    grid[:, :, 0] = xs[:, None]
+    grid[:, :, 1] = ys
+    return grid.reshape(-1, 2)
+
+
+def _candidate_pool(kernel: InfluenceKernel, problem: Problem) -> list:
+    """Fixed influence candidates: the support atoms, discrete demand points, L1 grid.
+
+    The support atoms alone guarantee a nonpositive minimum (the weighted
+    influence over the support averages to zero); under L1 the demand vertex
+    grid holds the minimizers for discrete demand.
+    """
+    pool = [kernel.atoms]
+    if isinstance(problem.eta, DiscretePoints):
+        pool.append(problem.eta.points)
+    if problem.norm == L1:
+        pool.append(_l1_axis_candidates(kernel.demand))
+    return pool
 
 
 def _minimize_influence_kernel(kernel: InfluenceKernel, problem: Problem,
-                               config: SolverConfig, rng, extra_candidates=None):
+                               config: SolverConfig, rng):
     """Shared subproblem core; returns (x_star, h_star) with h_star <= 0."""
-    pools = [kernel.atoms]
-    if isinstance(problem.eta, DiscretePoints):
-        pools.append(problem.eta.points)
-    if extra_candidates is not None and len(extra_candidates):
-        pools.append(extra_candidates)
+    pools = _candidate_pool(kernel, problem)
     if problem.norm == L2 and problem.domain.diameter > 0:
         starts = _random_in_domain(problem.domain, rng, config.inner_restarts)
         pools.append(_adam_descend(kernel, problem.domain, starts, config))
-    elif problem.norm == L1 and extra_candidates is None:
-        pools.append(_l1_axis_candidates(kernel.demand))
     cands = np.vstack(pools)
     h = kernel.influence(cands)
     i = int(np.argmin(h))
@@ -325,9 +342,10 @@ def minimize_influence(mu: DiscreteMeasure, problem: Problem, config: SolverConf
                        rng, eta_or_batch=None):
     """Approximately minimize the influence function of mu over the domain.
 
-    Candidates are multi-restart projected-Adam finishers plus the support
-    atoms and (for discrete eta) the demand points, so the returned value is
-    nonpositive even when Adam stalls.  mu's budget must be the problem's.
+    Candidates are the support atoms, (for discrete eta) the demand points
+    and (under L1) the demand vertex grid, plus multi-restart projected-Adam
+    finishers under L2, so the returned value is nonpositive even when Adam
+    stalls.  mu's budget must be the problem's.
     """
     check_budget(mu, problem.budget)
     demand = eta_or_batch if eta_or_batch is not None else problem.eta
@@ -355,7 +373,6 @@ def _frank_wolfe(problem: Problem, config: SolverConfig, rng, update):
         rng = np.random.default_rng(config.seed)
     b = problem.budget
     demand = demand_of(_resolve_demand(problem, config))
-    extra = _l1_axis_candidates(demand[0]) if problem.norm == L1 else None
 
     support = _random_in_domain(problem.domain, rng, 1)
     weights = np.array([b])
@@ -365,7 +382,7 @@ def _frank_wolfe(problem: Problem, config: SolverConfig, rng, update):
         kernel = InfluenceKernel(support, weights, *demand, problem.curve, problem.norm,
                                  budget=b)
         j_k = kernel.objective()
-        x_star, h_star = _minimize_influence_kernel(kernel, problem, config, rng, extra)
+        x_star, h_star = _minimize_influence_kernel(kernel, problem, config, rng)
         trace.append(k, j_k, h_star, x_star, len(support), time.perf_counter() - t0)
         if abs(h_star) < config.fw_tolerance:
             break
@@ -470,12 +487,7 @@ def certify(mu: DiscreteMeasure, problem: Problem, grid_resolution: int,
         demand = _resolve_demand(problem, config)
     kernel = InfluenceKernel.of(mu, demand, problem.curve, problem.norm)
     pts = lattice_points(problem.domain, grid_resolution, inside_only=True)
-    pools = [pts, mu.points]
-    if isinstance(problem.eta, DiscretePoints):
-        pools.append(problem.eta.points)
-    if problem.norm == L1:
-        pools.append(_l1_axis_candidates(kernel.demand))
-    cands = np.vstack(pools)
+    cands = np.vstack([pts, *_candidate_pool(kernel, problem)])
     h = kernel.influence(cands)
     if problem.norm == L2 and problem.domain.diameter > 0:
         n_seed = min(16, len(cands))

@@ -184,6 +184,13 @@ def test_invalid_numeric_arguments_exit_2(two_point_file, tmp_path, capsys):
         rc = main(["certify", *common, "--grid", grid, "--tol", tol])
         assert rc == 2
         assert flag in capsys.readouterr().err
+    for flag, value in (("--iters", "0"), ("--batch", "0"), ("--restarts", "0"),
+                        ("--tol", "-1"), ("--tol", "nan")):
+        out = tmp_path / f"solve{flag}{value}"
+        rc = main(["solve", "--scenario", two_point_file, "--out", str(out), flag, value])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_influence_map_single_cell(two_point_file, tmp_path):

@@ -11,12 +11,13 @@ from measurefw import (
     fcfw_solve,
     influence,
     l1_solve_on_grid,
+    minimize_influence,
     objective_exact,
     two_point_optimum,
     vertex_argmin_check,
 )
 from measurefw.geometry import pairwise_distance
-from measurefw.response import correction_gradient
+from measurefw.response import InfluenceKernel, correction_gradient
 from measurefw.solver import _pgd_simplex, _SimplexObjective
 from helpers import CURVE, rand_discrete_eta, rand_measure
 
@@ -156,6 +157,35 @@ def test_l1_solve_support_and_certificate():
         heavy = mu.points[mu.weights > 1e-6]
         h_atoms = influence(mu, heavy, prob.eta, CURVE, "l1")
         assert np.max(np.abs(h_atoms)) <= 1e-4
+
+
+def test_l1_solve_certificate_matches_kernel_influence():
+    # the trace's h_star comes from the simplex gradient through the zero-mean
+    # identity; it must be the influence minimum over the grid vertices
+    rng = np.random.default_rng(12)
+    cfg = SolverConfig(max_outer_iters=15, **FAST, seed=0)
+    for _ in range(3):
+        prob = rand_l1_problem(rng, n=6)
+        mu, trace = l1_solve_on_grid(prob, cfg)
+        kernel = InfluenceKernel.of(mu, prob.eta, CURVE, "l1")
+        h_min = kernel.influence(build_grid(prob.eta.points).vertices).min()
+        assert abs(trace.rows[-1].h_star - h_min) <= 1e-12 * max(1.0, abs(kernel.h_const))
+
+
+def test_minimize_influence_l1_takes_the_candidate_pool_minimum():
+    # under L1 the subproblem runs no Adam: its answer is the minimum over the
+    # support atoms, the demand points and the demand vertex grid, clamped at 0
+    rng = np.random.default_rng(13)
+    cfg = SolverConfig(**FAST, seed=0)
+    for _ in range(4):
+        prob = rand_l1_problem(rng)
+        mu = rand_measure(rng, budget=prob.budget)
+        x_star, h_star = minimize_influence(mu, prob, cfg, np.random.default_rng(0))
+        cands = np.vstack([mu.points, prob.eta.points, build_grid(prob.eta.points).vertices])
+        h = InfluenceKernel.of(mu, prob.eta, CURVE, "l1").influence(cands)
+        assert h_star == min(h.min(), 0.0)
+        if h.min() < 0:
+            assert np.array_equal(x_star, cands[np.argmin(h)])
 
 
 def test_l1_solve_beats_free_support_fcfw():

@@ -298,3 +298,6 @@ def test_solver_config_validation():
         SolverConfig(adam_lr=-0.1)
     with pytest.raises(ValueError):
         SolverConfig(fw_tolerance=-1.0)
+    for name in ("adam_lr", "correction_lr", "fw_tolerance"):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: float("nan")})
