@@ -1,4 +1,5 @@
-"""Planar geometry: convex polygons, projection, uniform sampling, distances.
+"""Planar geometry: convex polygons, projection, uniform sampling, distances,
+and the vertex grid spanned by demand coordinates.
 
 Coordinates are plain floats in abstract length units.  Polygons are stored
 in a canonical counter-clockwise form with collinear vertices removed, so
@@ -20,6 +21,8 @@ __all__ = [
     "distance",
     "pairwise_distance",
     "Rect",
+    "DemandGrid",
+    "build_grid",
     "ConvexPolygon",
     "convex_hull",
     "contains",
@@ -123,6 +126,62 @@ class Rect:
 
     def __repr__(self):
         return f"Rect(lo=({self.lo[0]}, {self.lo[1]}), hi=({self.hi[0]}, {self.hi[1]}))"
+
+
+class DemandGrid:
+    """Grid spanned by the coordinate order statistics of demand points.
+
+    `vertices` lists the (x, y) pairs x-major (like meshgrid "ij"); all
+    arrays are read-only.
+    """
+
+    __slots__ = ("xs", "ys", "vertices")
+
+    def __init__(self, xs, ys):
+        self.xs = np.array(xs, dtype=float)
+        self.ys = np.array(ys, dtype=float)
+        # filled in place: one allocation costs half of meshgrid + column_stack
+        grid = np.empty((len(self.xs), len(self.ys), 2))
+        grid[:, :, 0] = self.xs[:, None]
+        grid[:, :, 1] = self.ys
+        self.vertices = grid.reshape(-1, 2)
+        for arr in (self.xs, self.ys, self.vertices):
+            arr.setflags(write=False)
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def n_rects(self) -> int:
+        return max(len(self.xs) - 1, 0) * max(len(self.ys) - 1, 0)
+
+    def rect(self, index: int) -> Rect:
+        """Rectangle S_{j,k} by flat index, row-major over (j, k)."""
+        ny = len(self.ys) - 1
+        if not 0 <= index < self.n_rects:
+            raise IndexError(f"rectangle index {index} out of range")
+        j, k = divmod(index, ny)
+        return Rect((self.xs[j], self.ys[k]), (self.xs[j + 1], self.ys[k + 1]))
+
+    def __repr__(self):
+        return f"DemandGrid({len(self.xs)} x {len(self.ys)} coordinates)"
+
+
+def build_grid(points, max_per_axis=None) -> DemandGrid:
+    """Demand grid from points: deduplicated sorted coordinates per axis.
+
+    Axes with more than `max_per_axis` coordinates are thinned evenly to
+    that many, extremes kept, before the vertices are formed.
+    """
+    pts = as_points(points)
+    if len(pts) == 0:
+        raise ValueError("empty point set")
+    axes = [np.unique(pts[:, 0]), np.unique(pts[:, 1])]
+    if max_per_axis is not None:
+        axes = [a[np.unique(np.linspace(0, len(a) - 1, max_per_axis).astype(int))]
+                if len(a) > max_per_axis else a for a in axes]
+    return DemandGrid(*axes)
 
 
 def _cross(o, a, b):

@@ -1,10 +1,12 @@
-"""L1-norm specialization: demand grids, the finite-support solver, verifiers.
+"""L1-norm specialization: the finite-support grid solver and its verifiers.
 
 Under the Manhattan norm with discrete demand, the influence function is
 strictly concave on every rectangle of the grid spanned by the coordinate
 order statistics of the demand points, so its minimizers -- and the support
 of any optimal measure -- lie on the grid vertices.  That turns the measure
-problem into one finite convex solve over the vertex weights.
+problem into one finite convex solve over the vertex weights.  The grid
+(`DemandGrid`, `build_grid`) comes from `geometry`, shared with the
+Frank-Wolfe candidate pool.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ import time
 
 import numpy as np
 
-from .geometry import L1, Rect, as_points
+from .geometry import L1, DemandGrid, build_grid
 from .measure import DiscreteMeasure
 from .response import InfluenceKernel
-from .scenario import DiscretePoints, Problem
+from .scenario import DiscretePoints, Problem, _sample_rect
 from .solver import SolveTrace, SolverConfig, _corrective_step0, _pgd_simplex, _SimplexObjective
 
 __all__ = [
@@ -26,47 +28,6 @@ __all__ = [
     "concavity_check",
     "vertex_argmin_check",
 ]
-
-
-class DemandGrid:
-    """Grid spanned by the coordinate order statistics of demand points."""
-
-    __slots__ = ("xs", "ys", "vertices")
-
-    def __init__(self, xs, ys):
-        self.xs = np.asarray(xs, dtype=float)
-        self.ys = np.asarray(ys, dtype=float)
-        gx, gy = np.meshgrid(self.xs, self.ys, indexing="ij")
-        self.vertices = np.column_stack([gx.ravel(), gy.ravel()])
-        for arr in (self.xs, self.ys, self.vertices):
-            arr.setflags(write=False)
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def n_rects(self) -> int:
-        return max(len(self.xs) - 1, 0) * max(len(self.ys) - 1, 0)
-
-    def rect(self, index: int) -> Rect:
-        """Rectangle S_{j,k} by flat index, row-major over (j, k)."""
-        ny = len(self.ys) - 1
-        if not 0 <= index < self.n_rects:
-            raise IndexError(f"rectangle index {index} out of range")
-        j, k = divmod(index, ny)
-        return Rect((self.xs[j], self.ys[k]), (self.xs[j + 1], self.ys[k + 1]))
-
-    def __repr__(self):
-        return f"DemandGrid({len(self.xs)} x {len(self.ys)} coordinates)"
-
-
-def build_grid(points) -> DemandGrid:
-    """Demand grid from points: deduplicated sorted coordinates per axis."""
-    pts = as_points(points)
-    if len(pts) == 0:
-        raise ValueError("empty point set")
-    return DemandGrid(np.unique(pts[:, 0]), np.unique(pts[:, 1]))
 
 
 def l1_solve_on_grid(problem: Problem, config: SolverConfig):
@@ -115,15 +76,6 @@ def l1_solve_on_grid(problem: Problem, config: SolverConfig):
     return mu, trace
 
 
-def _interior_samples(rect: Rect, rng, n: int) -> np.ndarray:
-    u = rng.random((n, 2))
-    return rect.lo + u * (rect.hi - rect.lo)
-
-
-def _influence_on(mu: DiscreteMeasure, problem: Problem, xs) -> np.ndarray:
-    return InfluenceKernel.of(mu, problem.eta, problem.curve, L1).influence(xs)
-
-
 def concavity_check(mu: DiscreteMeasure, problem: Problem, grid: DemandGrid,
                     rect_index: int, trials: int, rng) -> bool:
     """Verify midpoint concavity of the influence inside one grid rectangle.
@@ -136,11 +88,12 @@ def concavity_check(mu: DiscreteMeasure, problem: Problem, grid: DemandGrid,
     rect = grid.rect(rect_index)
     if rect.area <= 0:
         raise ValueError("degenerate rectangle")
-    x1 = _interior_samples(rect, rng, trials)
-    x2 = _interior_samples(rect, rng, trials)
+    x1 = _sample_rect(rect, rng, trials)
+    x2 = _sample_rect(rect, rng, trials)
     t = rng.random(trials)
     mid = t[:, None] * x1 + (1.0 - t)[:, None] * x2
-    h = _influence_on(mu, problem, np.vstack([x1, x2, mid]))
+    kernel = InfluenceKernel.of(mu, problem.eta, problem.curve, L1)
+    h = kernel.influence(np.vstack([x1, x2, mid]))
     h1, h2, hm = h[:trials], h[trials : 2 * trials], h[2 * trials :]
     return bool(np.all(hm >= t * h1 + (1.0 - t) * h2 - 1e-10))
 
@@ -157,6 +110,7 @@ def vertex_argmin_check(mu: DiscreteMeasure, problem: Problem, grid: DemandGrid,
     rect = grid.rect(rect_index)
     if rect.area <= 0:
         return True
-    inner = _interior_samples(rect, rng, sample_count)
-    h = _influence_on(mu, problem, np.vstack([inner, rect.corners()]))
+    inner = _sample_rect(rect, rng, sample_count)
+    kernel = InfluenceKernel.of(mu, problem.eta, problem.curve, L1)
+    h = kernel.influence(np.vstack([inner, rect.corners()]))
     return bool(h[:sample_count].min() >= h[sample_count:].min() - 1e-10)

@@ -29,36 +29,39 @@ _BUDGET_RTOL = 1e-9
 
 
 def _cluster_points(points: np.ndarray, weights: np.ndarray, eps: float):
-    """Single-linkage merge of atoms within `eps`; weighted-centroid locations."""
-    from scipy.spatial import cKDTree
+    """Single-linkage merge of atoms within `eps`; weighted-centroid locations.
 
-    pairs = cKDTree(points).query_pairs(eps, output_type="ndarray")
-    if len(pairs) == 0:
+    Candidate pairs pair each atom with the atoms after it in x order whose
+    x lies within `eps`; the pairs within Euclidean distance `eps` link.
+    """
+    order = np.argsort(points[:, 0], kind="stable")
+    xs = points[order, 0]
+    counts = np.searchsorted(xs, xs + eps, side="right") - np.arange(1, len(xs) + 1)
+    first = np.repeat(np.arange(len(xs)), counts)
+    # the candidates of sorted atom k are the next counts[k] atoms in x order
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+    i, j = order[first], order[second]
+    d = points[i] - points[j]
+    close = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= eps * eps
+    if not np.any(close):
         return points, weights
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    n = len(points)
-    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    # components are numbered in order of their lowest-index member
-    k, inverse = connected_components(graph, directed=False)
-    wsum = np.zeros(k)
-    np.add.at(wsum, inverse, weights)
-    cx = np.zeros(k)
-    cy = np.zeros(k)
-    np.add.at(cx, inverse, weights * points[:, 0])
-    np.add.at(cy, inverse, weights * points[:, 1])
-    # zero-weight clusters fall back to a plain average of member locations
-    cnt = np.zeros(k)
-    np.add.at(cnt, inverse, 1.0)
-    mx = np.zeros(k)
-    my = np.zeros(k)
-    np.add.at(mx, inverse, points[:, 0])
-    np.add.at(my, inverse, points[:, 1])
+    i, j = i[close], j[close]
+    # each atom ends at the lowest index linked to it: push the smaller label
+    # across every pair and jump labels to their labels until nothing moves
+    labels, prev = np.arange(len(points)), None
+    while not np.array_equal(labels, prev):
+        prev = labels.copy()
+        np.minimum.at(labels, i, prev[j])
+        np.minimum.at(labels, j, prev[i])
+        labels = labels[labels]
+    # clusters are numbered in order of their lowest-index member
+    _, inverse = np.unique(labels, return_inverse=True)
+    wsum = np.bincount(inverse, weights)
     safe = wsum > 0
-    outx = np.where(safe, cx / np.where(safe, wsum, 1.0), mx / cnt)
-    outy = np.where(safe, cy / np.where(safe, wsum, 1.0), my / cnt)
-    return np.column_stack([outx, outy]), wsum
+    # zero-weight clusters fall back to a plain average of member locations
+    out = [np.where(safe, np.bincount(inverse, weights * c) / np.where(safe, wsum, 1.0),
+                    np.bincount(inverse, c) / np.bincount(inverse)) for c in points.T]
+    return np.column_stack(out), wsum
 
 
 class DiscreteMeasure:

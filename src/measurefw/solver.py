@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import L1, L2, ConvexPolygon, contains_many, project_many, sample_uniform
+from .geometry import (L1, L2, ConvexPolygon, build_grid, contains_many, project_many,
+                       sample_uniform)
 from .measure import MERGE_EPS, DiscreteMeasure, check_budget
 from .response import (InfluenceKernel, SampleBatch, _sorted_support, correction_gradient,
                        demand_of, smoothness_constant)
@@ -287,40 +288,19 @@ def _adam_descend(kernel: InfluenceKernel, domain: ConvexPolygon, starts: np.nda
     return x
 
 
-def _l1_axis_candidates(points: np.ndarray, cap: int = 64) -> np.ndarray:
-    """Vertex grid spanned by coordinate order statistics of demand points.
-
-    Under the L1 norm the influence minimizers lie on this grid for discrete
-    demand; axes with more than `cap` distinct coordinates are subsampled
-    evenly (a heuristic for sample-induced grids from large batches).
-    """
-    xs = np.unique(points[:, 0])
-    ys = np.unique(points[:, 1])
-    if len(xs) > cap:
-        xs = xs[np.unique(np.linspace(0, len(xs) - 1, cap).astype(int))]
-    if len(ys) > cap:
-        ys = ys[np.unique(np.linspace(0, len(ys) - 1, cap).astype(int))]
-    # filled in place (x-major, like meshgrid "ij"): this runs once per
-    # subproblem, and one allocation costs half of meshgrid + column_stack
-    grid = np.empty((len(xs), len(ys), 2))
-    grid[:, :, 0] = xs[:, None]
-    grid[:, :, 1] = ys
-    return grid.reshape(-1, 2)
-
-
 def _candidate_pool(kernel: InfluenceKernel, problem: Problem) -> list:
-    """Fixed influence candidates: the support atoms, discrete demand points, L1 grid.
+    """Fixed influence candidates: the support atoms, then the demand or its L1 grid.
 
     The support atoms alone guarantee a nonpositive minimum (the weighted
-    influence over the support averages to zero); under L1 the demand vertex
-    grid holds the minimizers for discrete demand.
+    influence over the support averages to zero).  Under L1 the demand vertex
+    grid holds the minimizers for discrete demand and contains its points; a
+    sampled batch's axes are thinned to 64 coordinates first (a 1,000-point
+    batch would otherwise give ~10^6 vertices).
     """
-    pool = [kernel.atoms]
-    if isinstance(problem.eta, DiscretePoints):
-        pool.append(problem.eta.points)
+    discrete = isinstance(problem.eta, DiscretePoints)
     if problem.norm == L1:
-        pool.append(_l1_axis_candidates(kernel.demand))
-    return pool
+        return [kernel.atoms, build_grid(kernel.demand, None if discrete else 64).vertices]
+    return [kernel.atoms, problem.eta.points] if discrete else [kernel.atoms]
 
 
 def _minimize_influence_kernel(kernel: InfluenceKernel, problem: Problem,
@@ -342,10 +322,12 @@ def minimize_influence(mu: DiscreteMeasure, problem: Problem, config: SolverConf
                        rng, eta_or_batch=None):
     """Approximately minimize the influence function of mu over the domain.
 
-    Candidates are the support atoms, (for discrete eta) the demand points
-    and (under L1) the demand vertex grid, plus multi-restart projected-Adam
-    finishers under L2, so the returned value is nonpositive even when Adam
-    stalls.  mu's budget must be the problem's.
+    Candidates are the support atoms plus, under L2, the demand points (for
+    discrete eta) and multi-restart projected-Adam finishers, so the value
+    is nonpositive even when Adam stalls.  Under L1 they are the atoms and
+    the demand vertex grid: in full for discrete eta (exact over the grid's
+    span; it holds the demand points), at most 64 per axis for a sampled
+    batch.  mu's budget must be the problem's.
     """
     check_budget(mu, problem.budget)
     demand = eta_or_batch if eta_or_batch is not None else problem.eta

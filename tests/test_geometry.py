@@ -5,6 +5,7 @@ from scipy.stats import chisquare
 from measurefw.geometry import (
     ConvexPolygon,
     Rect,
+    build_grid,
     contains,
     convex_hull,
     distance,
@@ -156,3 +157,16 @@ def test_project_many_matches_scalar():
     batch = project_many(poly, pts)
     single = np.array([project(poly, p) for p in pts])
     assert np.allclose(batch, single, atol=1e-12)
+
+
+def test_build_grid_thins_axes_evenly_keeping_extremes():
+    rng = np.random.default_rng(3)
+    pts = np.column_stack([rng.random(200), rng.integers(0, 10, 200).astype(float)])
+    full = build_grid(pts)
+    thin = build_grid(pts, max_per_axis=64)
+    assert len(full.xs) == 200 and len(thin.xs) == 64
+    assert thin.xs[0] == full.xs[0] and thin.xs[-1] == full.xs[-1]
+    assert np.all(np.isin(thin.xs, full.xs)) and np.all(np.diff(thin.xs) > 0)
+    assert np.array_equal(thin.ys, full.ys)  # an axis under the cap is kept whole
+    assert np.array_equal(thin.vertices.reshape(64, 10, 2)[:, 0, 0], thin.xs)
+    assert not thin.vertices.flags.writeable

@@ -4,7 +4,10 @@ import pytest
 from measurefw import (
     DiscretePoints,
     Problem,
+    Rect,
+    SampleBatch,
     SolverConfig,
+    UniformRect,
     build_grid,
     certify,
     concavity_check,
@@ -18,7 +21,7 @@ from measurefw import (
 )
 from measurefw.geometry import pairwise_distance
 from measurefw.response import InfluenceKernel, correction_gradient
-from measurefw.solver import _pgd_simplex, _SimplexObjective
+from measurefw.solver import _candidate_pool, _pgd_simplex, _SimplexObjective
 from helpers import CURVE, rand_discrete_eta, rand_measure
 
 FAST = dict(inner_restarts=4, adam_steps=40, correction_steps=40)
@@ -177,15 +180,44 @@ def test_minimize_influence_l1_takes_the_candidate_pool_minimum():
     # support atoms, the demand points and the demand vertex grid, clamped at 0
     rng = np.random.default_rng(13)
     cfg = SolverConfig(**FAST, seed=0)
+    cases = []
     for _ in range(4):
         prob = rand_l1_problem(rng)
-        mu = rand_measure(rng, budget=prob.budget)
+        cases.append((prob, rand_measure(rng, budget=prob.budget)))
+    # 80 distinct coordinates per axis: the pool must take the full grid, not
+    # one thinned to 64 per axis (which misses the minimum on this instance)
+    rng = np.random.default_rng(5)
+    eta = DiscretePoints(rng.random((80, 2)) * 10, np.full(80, 1 / 80))
+    wide = Problem(eta, budget=float(rng.uniform(0.3, 3)), norm="l1")
+    cases.append((wide, rand_measure(rng, budget=wide.budget)))
+    for prob, mu in cases:
         x_star, h_star = minimize_influence(mu, prob, cfg, np.random.default_rng(0))
         cands = np.vstack([mu.points, prob.eta.points, build_grid(prob.eta.points).vertices])
         h = InfluenceKernel.of(mu, prob.eta, CURVE, "l1").influence(cands)
         assert h_star == min(h.min(), 0.0)
         if h.min() < 0:
             assert np.array_equal(x_star, cands[np.argmin(h)])
+    # certify sweeps the same pool: on the wide (last) case it reaches that minimum too
+    assert build_grid(wide.eta.points).n_vertices == 80 * 80
+    min_h, _ = certify(mu, wide, 20, cfg)
+    assert min_h <= min(h.min(), 0.0)
+
+
+def test_sampled_l1_demand_pool_and_solve():
+    # a sampled batch's grid is thinned to 64 coordinates per axis before its
+    # vertices are formed; the pool still holds the support atoms
+    prob = Problem(UniformRect(Rect([0, 0], [3, 2])), budget=1.5, norm="l1")
+    cfg = SolverConfig(max_outer_iters=3, **FAST, mc_batch_size=500, seed=4)
+    batch = SampleBatch.draw(prob.eta, cfg.mc_batch_size, cfg.seed)
+    mu = rand_measure(np.random.default_rng(4), budget=prob.budget)
+    kernel = InfluenceKernel.of(mu, batch, CURVE, "l1")
+    pool = np.vstack(_candidate_pool(kernel, prob))
+    assert len(pool) <= mu.n_atoms + 64 * 64
+    assert np.array_equal(pool[: mu.n_atoms], mu.points)
+    mu, trace = fcfw_solve(prob, cfg)
+    assert len(trace) == 3
+    assert np.all(trace.h_values() <= 0.0)
+    assert np.all(np.diff(trace.j_values()) <= 1e-12)
 
 
 def test_l1_solve_beats_free_support_fcfw():

@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from measurefw import (
     restrict_to_domain,
     tv_distance,
 )
+from measurefw.measure import _cluster_points
 from helpers import CURVE, rand_discrete_eta, rand_measure
 
 UNIT_SQUARE = convex_hull([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -150,6 +154,55 @@ def test_merge_and_prune():
         merge_and_prune(DiscreteMeasure([[0, 0]], [1.0]), weight_tol=2.0)
     with pytest.raises(ValueError):
         merge_and_prune(spread, merge_eps=-1.0)
+
+
+def _single_linkage_oracle(points, weights, eps):
+    """Brute-force clusters: flood fill over the dense distance matrix."""
+    near = np.hypot(*(points[:, None, :] - points[None, :, :]).T) <= eps
+    label = np.full(len(points), -1)
+    for start in range(len(points)):
+        if label[start] < 0:
+            label[start] = start
+            stack = [start]
+            while stack:
+                for j in np.flatnonzero(near[stack.pop()] & (label < 0)):
+                    label[j] = start
+                    stack.append(j)
+    roots = np.unique(label)  # clusters in order of their lowest-index member
+    w = np.array([weights[label == r].sum() for r in roots])
+    pts = [np.average(points[label == r], axis=0,
+                      weights=weights[label == r] if w[i] > 0 else None)
+           for i, r in enumerate(roots)]
+    return np.array(pts), w
+
+
+def test_cluster_points_matches_single_linkage_oracle():
+    rng = np.random.default_rng(21)
+    eps = 1e-3
+    for trial in range(40):
+        m = int(rng.integers(2, 60))
+        seeds = rng.random((max(m // 4, 1), 2))
+        pts = seeds[rng.integers(0, len(seeds), m)] + rng.normal(size=(m, 2)) * 6e-4
+        if trial % 2:
+            pts[:, 0] = np.round(pts[:, 0], 1)  # shared x coordinates
+        w = rng.random(m) * (rng.random(m) < 0.7)
+        got_pts, got_w = _cluster_points(pts, w, eps)
+        want_pts, want_w = _single_linkage_oracle(pts, w, eps)
+        assert got_w.shape == want_w.shape
+        np.testing.assert_allclose(got_w, want_w, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got_pts, want_pts, rtol=1e-12, atol=1e-15)
+
+
+def test_measures_do_not_import_scipy():
+    code = ("import sys, measurefw\n"
+            "mu = measurefw.DiscreteMeasure([[0, 0], [0, 1e-12], [1, 1]], [1, 1, 1])\n"
+            "assert mu.n_atoms == 2\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_budget_conservation_across_ops():
