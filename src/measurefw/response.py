@@ -8,6 +8,12 @@ mass -- no quadrature, exact up to floating point.  `InfluenceKernel` builds
 the segment tables once per measure; each query then finds its segment with
 a branchless binary search over the row's padded sorted distances.
 
+Queries run in blocks of at most 65,536 (demand x query) entries, so each
+float64 temporary (512 KB) stays in cache across the distance, search, beta
+and gather passes.  A block holds a multiple of 8 query points (at most
+4,096), which keeps the `probs @ tails` product on BLAS's full-vector path:
+a partial vector takes a scalar tail path that moves single values by an ulp.
+
 All Stieltjes integrals run over (0, inf), carrying total curve mass
 1 - beta(0); the raw death probability is beta(0) plus the objective, and
 the simulation oracle subtracts beta(0) accordingly.
@@ -44,10 +50,11 @@ __all__ = [
 ]
 
 _SINGULAR_EPS = 1e-9
-_CHUNK_ELEMS = 4_000_000  # soft cap on (demand x query) matrix entries
-# cap on query points per chunk, so that a grid over few demand points still
+_CHUNK_ELEMS = 65_536  # soft cap on (demand x query) entries per block
+# cap on query points per block, so that a grid over few demand points still
 # splits into blocks for the influence-map workers
 _CHUNK_POINTS = 4096
+_BLOCK_ALIGN = 8  # block sizes are multiples of this many query points
 
 
 class SampleBatch:
@@ -129,7 +136,9 @@ class InfluenceKernel:
     that returns the closed-ball count k directly as a flat table index, so
     the objective, influence values and influence gradients are a few
     vectorised passes over (demand x query) arrays.  `influence` works
-    through its query points in chunks of `block` points.
+    through its query points in blocks of `block` points: the largest
+    multiple of 8 with block * n <= 65,536, capped at 4,096 and at least 8
+    (see the module docstring for why).
     """
 
     def __init__(self, atoms, weights, demand_points, demand_probs, curve, norm, budget=None):
@@ -143,9 +152,11 @@ class InfluenceKernel:
         n, m = len(self.demand), len(self.atoms)
         if m == 0:
             raise ValueError("measure must have at least one atom")
-        # query points per chunk of `influence`; callers that split a query
+        # query points per block of `influence`; callers that split a query
         # set on multiples of it get the same result as one call
-        self.block = max(1, min(_CHUNK_ELEMS // max(n, 1), _CHUNK_POINTS))
+        fit = min(_CHUNK_ELEMS // max(n, 1), _CHUNK_POINTS)
+        self.block = max(_BLOCK_ALIGN, fit - fit % _BLOCK_ALIGN)
+        self._budget_probs = self.budget * self.probs[:, None]  # gradient coefficient
 
         order, d, bd, dbeta = _sorted_support(self.demand, self.atoms, curve, self.norm)
         width = 1 << m.bit_length()  # P > m, so every count 0..m has a column
@@ -241,17 +252,20 @@ class InfluenceKernel:
         xs = _query_points(xs)
         dx = xs[:, 0] - self.demand[:, 0][:, None]  # (n, k)
         dy = xs[:, 1] - self.demand[:, 1][:, None]
-        r = np.hypot(dx, dy)
+        with np.errstate(over="ignore"):  # only past ~1e154, where beta' / r is 0 anyway
+            r = dx * dx
+            r += dy * dy
+        np.sqrt(r, out=r)
         singular = r < _SINGULAR_EPS
-        if singular.any():
+        any_singular = singular.any()
+        if any_singular:
             if on_singular == "raise":
                 raise ValueError("gradient singular at demand point")
-            r = np.where(singular, 1.0, r)
+            r[singular] = 1.0
         decay = np.take(self._decay_flat, self._segments(r))  # e^{-mass(B(y, r))}
-        coef = (self.budget * self.probs[:, None] * decay
-                * _beta_prime_values(self.curve, r) / r)
-        if singular.any():
-            coef = np.where(singular, 0.0, coef)
+        coef = self._budget_probs * decay * _beta_prime_values(self.curve, r) / r
+        if any_singular:
+            coef[singular] = 0.0
         return np.column_stack([np.einsum("nk,nk->k", coef, dx), np.einsum("nk,nk->k", coef, dy)])
 
 
@@ -348,7 +362,8 @@ def simulate_objective(
     N ~ Poisson(b), N volunteer locations i.i.d. mu/b, and records
     beta(min distance) - beta(0) (with beta(inf) = 1 when N = 0).  Returns
     (mean, standard error); the mean estimates the Stieltjes-convention
-    objective directly thanks to the beta(0) offset.
+    objective directly thanks to the beta(0) offset.  It keeps `np.hypot`
+    rather than `pairwise_distance`, so that it stays an independent oracle.
     """
     reps = int(reps)
     if reps < 1:

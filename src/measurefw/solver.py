@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import (L1, L2, ConvexPolygon, build_grid, contains_many, project_many,
-                       sample_uniform)
+from .geometry import (L1, L2, ConvexPolygon, build_grid, contains_many, pairwise_distance,
+                       project_many, sample_uniform)
 from .measure import MERGE_EPS, DiscreteMeasure, check_budget
 from .response import (InfluenceKernel, SampleBatch, _sorted_support, correction_gradient,
                        demand_of, smoothness_constant)
@@ -368,7 +368,7 @@ def _frank_wolfe(problem: Problem, config: SolverConfig, rng, update):
         trace.append(k, j_k, h_star, x_star, len(support), time.perf_counter() - t0)
         if abs(h_star) < config.fw_tolerance:
             break
-        dist_new = np.hypot(*(support - x_star).T)
+        dist_new = pairwise_distance(support, x_star[None], L2)[:, 0]
         i = int(np.argmin(dist_new))
         if dist_new[i] > MERGE_EPS:
             support = np.vstack([support, x_star])

@@ -205,8 +205,8 @@ def test_influence_map_single_cell(two_point_file, tmp_path):
 
 
 def test_influence_map_thread_count_invariance(tmp_path, monkeypatch):
-    # 60 x 60 demand grid on the unit square: the kernel's blocks hold ~1,100
-    # points, so the 2,304 in-domain cells span three blocks
+    # 60 x 60 demand grid on the unit square: the kernel's blocks hold 16
+    # points, so the 2,304 in-domain cells span 144 blocks
     side = np.linspace(0.0, 1.0, 60)
     gx, gy = np.meshgrid(side, side)
     demand = np.column_stack([gx.ravel(), gy.ravel()])

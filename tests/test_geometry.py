@@ -9,6 +9,7 @@ from measurefw.geometry import (
     contains,
     convex_hull,
     distance,
+    pairwise_distance,
     project,
     project_many,
     sample_uniform,
@@ -106,6 +107,16 @@ def test_distance_triangle_inequality_and_norm_order():
         for norm in ("l1", "l2"):
             assert distance(p, r, norm) <= distance(p, q, norm) + distance(q, r, norm) + 1e-12
         assert distance(p, q, "l1") >= distance(p, q, "l2") - 1e-12
+
+
+def test_l2_pairwise_distance_within_one_ulp_of_hypot():
+    rng = np.random.default_rng(4)
+    for scale in 10.0 ** np.arange(-3, 7):
+        a = rng.uniform(-scale, scale, size=(60, 2))
+        b = rng.uniform(-scale, scale, size=(50, 2))
+        want = np.hypot(a[:, 0][:, None] - b[:, 0], a[:, 1][:, None] - b[:, 1])
+        got = pairwise_distance(a, b, "l2")
+        assert np.all(np.abs(got - want) <= np.spacing(want))
 
 
 def test_sample_uniform_containment_and_mean():

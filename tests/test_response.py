@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from measurefw import (
     tv_distance,
 )
 from measurefw.geometry import pairwise_distance
-from measurefw.response import InfluenceKernel
+from measurefw.response import _CHUNK_ELEMS, InfluenceKernel
 from helpers import (
     CURVE,
     mix_measures,
@@ -231,6 +233,62 @@ def test_nonfinite_queries_raise():
             kernel.influence(xs)
         with pytest.raises(ValueError, match="finite"):
             kernel.influence_gradient(xs)
+
+
+def test_influence_gradient_mask_zeroes_coincident_demand():
+    rng = np.random.default_rng(12)
+    eta = rand_discrete_eta(rng, n=5)
+    mu = rand_measure(rng, m=4)
+    kernel = InfluenceKernel.of(mu, eta, CURVE, "l2")
+    # the first query lies 5e-10 from demand point 2, inside the singular radius
+    xs = np.vstack([eta.points[2] + [3e-10, -4e-10], rng.uniform(-1, 1, size=(3, 2))])
+    masked = kernel.influence_gradient(xs, on_singular="mask")
+    assert np.array_equal(masked[1:], kernel.influence_gradient(xs[1:]))
+    # there the gradient is that of the other demand points alone
+    keep = np.arange(5) != 2
+    rest = InfluenceKernel(mu.points, mu.weights, eta.points[keep], eta.probs[keep], CURVE,
+                           "l2", budget=mu.budget)
+    np.testing.assert_allclose(masked[0], rest.influence_gradient(xs[:1])[0], rtol=1e-12)
+    with pytest.raises(ValueError, match="singular"):
+        kernel.influence_gradient(xs)
+
+
+@pytest.mark.parametrize("norm", ["l2", "l1"])
+@pytest.mark.parametrize("n", [3, 40, 1000, 3600])
+def test_influence_blocks_split_exactly(n, norm):
+    rng = np.random.default_rng(n)
+    demand = rng.uniform(0.0, 1.0, size=(n, 2))
+    probs = rng.random(n) + 0.1
+    kernel = InfluenceKernel(rng.uniform(0.0, 1.0, size=(9, 2)), rng.random(9) + 0.1,
+                             demand, probs / probs.sum(), CURVE, norm)
+    blk = kernel.block
+    assert blk % 8 == 0
+    assert blk * n <= max(_CHUNK_ELEMS, 8 * n)
+    xs = rng.uniform(-0.2, 1.2, size=(3 * blk + 5, 2))
+    whole = kernel.influence(xs).tobytes()
+    for _ in range(3):
+        cuts = np.sort(rng.choice(np.arange(1, 4), size=int(rng.integers(1, 4)),
+                                  replace=False)) * blk
+        parts = [kernel.influence(part) for part in np.split(xs, cuts)]
+        assert np.concatenate(parts).tobytes() == whole
+
+
+def test_kernel_finite_at_huge_coordinates():
+    # squared coordinate differences overflow past ~1e154; the distance is
+    # then inf, where beta is 1 and beta' is 0 exactly, as at 1e200 itself
+    demand = np.array([[1e200, 0.0], [-1e200, 3e199], [0.0, 1e200]])
+    probs = np.array([0.25, 0.25, 0.5])
+    atoms = np.array([[0.0, 0.0], [1.0, 1.0]])
+    xs = np.array([[0.5, 0.5], [-2.0, 3.0]])
+    for norm in ("l2", "l1"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = InfluenceKernel(atoms, [0.5, 1.5], demand, probs, CURVE, norm)
+            values = [kernel.influence(xs)]
+            if norm == "l2":
+                values.append(kernel.influence_gradient(xs))
+        assert kernel.objective() == pytest.approx(SURV_NO_MASS, rel=1e-15)
+        assert all(np.isfinite(v).all() for v in values)
 
 
 def _brute_tail(w, d, r):
