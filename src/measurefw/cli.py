@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -57,6 +58,10 @@ def worker_count() -> int:
     if n < 0:
         raise ScenarioError("MEASURE_FW_THREADS must be nonnegative")
     if n == 0:
+        # the CPUs this process may run on, which a cpuset can make fewer
+        # than the machine has
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
     return n
 
@@ -209,11 +214,17 @@ def cmd_certify(args) -> int:
 def cmd_oracle(args) -> int:
     if args.oracle_cmd == "two-point":
         lam1, lam2 = args.lambda1, args.lambda2
-        if lam1 < 0 or lam2 < 0 or abs(lam1 + lam2 - 1.0) > 1e-9:
-            raise ScenarioError("lambda1, lambda2 must be nonnegative and sum to 1")
+        for flag, lam in (("--lambda1", lam1), ("--lambda2", lam2)):
+            if not lam >= 0:  # also rejects NaN
+                raise ScenarioError(f"{flag} must be nonnegative, got {lam!r}")
+        if abs(lam1 + lam2 - 1.0) > 1e-9:
+            raise ScenarioError(f"--lambda1 and --lambda2 must sum to 1, got {lam1!r} + {lam2!r}")
+        _check_budget_flag(args.budget)
         mu = two_point_optimum(args.y1, args.y2, lam1, lam2, args.budget)
         print(json.dumps(mu.to_json(), indent=2))
         return EXIT_OK
+    if args.reps < 1:
+        raise ScenarioError(f"--reps must be at least 1, got {args.reps}")
     problem = load_scenario(args.scenario)
     measure = _load_measure(args.measure)
     check_budget(measure, problem.budget)
@@ -224,7 +235,13 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _check_budget_flag(budget: float) -> None:
+    if not 0 < budget < math.inf:  # also rejects NaN
+        raise ScenarioError(f"--budget must be positive and finite, got {budget!r}")
+
+
 def cmd_make_city(args) -> int:
+    _check_budget_flag(args.budget)
     doc = make_city(args.units, args.seed, budget=args.budget, norm=args.norm)
     _write_atomic(Path(args.out), json.dumps(doc, indent=2) + "\n")
     print(f"wrote {args.out} ({args.units} area units)")
@@ -235,7 +252,10 @@ def _point_arg(text: str) -> list:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 'x,y', got {text!r}")
-    return [float(parts[0]), float(parts[1])]
+    point = [float(parts[0]), float(parts[1])]
+    if not all(map(math.isfinite, point)):
+        raise argparse.ArgumentTypeError(f"coordinates must be finite, got {text!r}")
+    return point
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -309,7 +309,11 @@ def contains(poly: ConvexPolygon, p) -> bool:
 
 def project_many(poly: ConvexPolygon, pts) -> np.ndarray:
     """Euclidean projection of each of the (k, 2) points onto the polygon."""
-    pts = as_points(pts).copy()
+    return _project(poly, as_points(pts).copy())
+
+
+def _project(poly: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
+    """`project_many` without validation; may overwrite the (k, 2) float array `pts`."""
     v = poly.vertices
     if len(v) == 1:
         return np.broadcast_to(v[0], pts.shape).copy()

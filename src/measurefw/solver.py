@@ -8,6 +8,11 @@ averages to zero, some atom has nonpositive influence, so the returned value
 is never positive.  That is exactly the relaxation under which the
 fully-corrective loop retains its sufficient-decrease and O(1/sqrt(k))
 stationarity guarantees without global subproblem optimality.
+
+The Adam lanes are pruned by successive halving: after 1/8, 1/4 and 1/2 of
+the steps only the better half of the live lanes by influence runs on, but
+never fewer than two.  Every lane's endpoint, dropped or not, stays a
+candidate, so the guarantee above is untouched.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import (L1, L2, ConvexPolygon, build_grid, contains_many, pairwise_distance,
-                       project_many, sample_uniform)
+from .geometry import (L1, L2, ConvexPolygon, _project, build_grid, contains_many,
+                       pairwise_distance, sample_uniform)
 from .measure import MERGE_EPS, DiscreteMeasure, check_budget
 from .response import (InfluenceKernel, SampleBatch, _sorted_support, correction_gradient,
                        demand_of, smoothness_constant)
@@ -49,6 +54,9 @@ class SolverConfig:
     `adam_lr` is expressed in domain-diameter units and rescaled by the hull
     diameter at run time; `correction_lr` is relative to the simplex
     curvature bound b^2 (an effective step of correction_lr / b^2).
+    `inner_restarts` is the number of Adam lanes a subproblem starts with and
+    `adam_steps` the number of steps the lanes that survive successive
+    halving run (down to two lanes after half the steps).
     """
 
     max_outer_iters: int = 200
@@ -267,13 +275,30 @@ def _random_in_domain(domain: ConvexPolygon, rng, n: int) -> np.ndarray:
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+# successive halving ranks the lanes after steps T // d of T, d in the rung
+# divisors, and keeps no fewer than the floor
+_ADAM_RUNG_DIVISORS = (8, 4, 2)
+_ADAM_MIN_LANES = 2
 
 
 def _adam_descend(kernel: InfluenceKernel, domain: ConvexPolygon, starts: np.ndarray,
                   config: SolverConfig) -> np.ndarray:
-    """Projected Adam on the influence surface, one lane per start point."""
+    """Projected Adam on the influence surface, one lane per start point.
+
+    Lanes are pruned by successive halving (Jamieson & Talwalkar, AISTATS
+    2016): at each rung the live lanes with the lowest influence are kept,
+    ceil(live / 2) of them but at least `_ADAM_MIN_LANES`, ties to the lower
+    lane index.  Survivors keep the shared step counter, so their bias
+    corrections, and (since a lane's gradient does not depend on which other
+    lanes share the call) their trajectories, are those of an unpruned run.
+    Returns one row per start, in start order: a dropped lane's row is where
+    it was dropped.
+    """
     lr = config.adam_lr * max(domain.diameter, 1e-12)
+    rungs = {config.adam_steps // d for d in _ADAM_RUNG_DIVISORS}
+    out = starts.copy()
     x = starts.copy()
+    live = np.arange(len(starts))
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     b1, b2 = _ADAM_BETA1, _ADAM_BETA2
@@ -284,8 +309,14 @@ def _adam_descend(kernel: InfluenceKernel, domain: ConvexPolygon, starts: np.nda
         mh = m / (1.0 - b1**t)
         vh = v / (1.0 - b2**t)
         x = x - lr * mh / (np.sqrt(vh) + _ADAM_EPS)
-        x = project_many(domain, x)
-    return x
+        x = _project(domain, x)
+        if t in rungs and len(live) > _ADAM_MIN_LANES:
+            out[live] = x
+            keep = max((len(live) + 1) // 2, _ADAM_MIN_LANES)
+            best = np.sort(np.argsort(kernel.influence(x), kind="stable")[:keep])
+            live, x, m, v = live[best], x[best], m[best], v[best]
+    out[live] = x
+    return out
 
 
 def _candidate_pool(kernel: InfluenceKernel, problem: Problem) -> list:
@@ -324,10 +355,12 @@ def minimize_influence(mu: DiscreteMeasure, problem: Problem, config: SolverConf
 
     Candidates are the support atoms plus, under L2, the demand points (for
     discrete eta) and multi-restart projected-Adam finishers, so the value
-    is nonpositive even when Adam stalls.  Under L1 they are the atoms and
-    the demand vertex grid: in full for discrete eta (exact over the grid's
-    span; it holds the demand points), at most 64 per axis for a sampled
-    batch.  mu's budget must be the problem's.
+    is nonpositive even when Adam stalls.  The Adam lanes are halved by
+    influence after 1/8, 1/4 and 1/2 of the steps, never below two; a
+    dropped lane's last point is still a candidate.  Under L1 they are the
+    atoms and the demand vertex grid: in full for discrete eta (exact over
+    the grid's span; it holds the demand points), at most 64 per axis for a
+    sampled batch.  mu's budget must be the problem's.
     """
     check_budget(mu, problem.budget)
     demand = eta_or_batch if eta_or_batch is not None else problem.eta
@@ -439,9 +472,10 @@ def two_point_optimum(y1, y2, lambda1: float, lambda2: float, budget: float) -> 
     alpha_2 = b - alpha_1; zero-weight atoms are dropped.  The weights do
     not depend on the death curve.
     """
-    if lambda1 < 0 or lambda2 < 0 or abs(lambda1 + lambda2 - 1.0) > 1e-9:
+    # written as `not x >= 0` so that NaN is rejected too
+    if not (lambda1 >= 0 and lambda2 >= 0 and abs(lambda1 + lambda2 - 1.0) <= 1e-9):
         raise ValueError("lambda1, lambda2 must be nonnegative and sum to 1")
-    if budget <= 0:
+    if not budget > 0:
         raise ValueError("budget must be positive")
     with np.errstate(divide="ignore"):
         ratio = np.log(lambda1) - np.log(lambda2)  # +-inf at the endpoints
@@ -456,6 +490,9 @@ def certify(mu: DiscreteMeasure, problem: Problem, grid_resolution: int,
             config: SolverConfig, rng=None, eta_or_batch=None):
     """Global influence sweep: lattice over the domain plus Adam refinement.
 
+    The 16 lowest lattice or pool points and mu's atoms seed the projected
+    Adam refine, whose lanes are halved by influence after 1/8, 1/4 and 1/2
+    of the steps (never below two); every lane's last point is a candidate.
     Returns (min_h, argmin).  The measure is approximately optimal at
     tolerance tau iff min_h >= -tau.  mu's budget must be the problem's.
     """

@@ -336,3 +336,60 @@ def test_outputs_round_trip_through_readers(three_point_file, tmp_path):
     DiscreteMeasure.from_json(json.loads((out / "measure.json").read_text()))
     SolveTrace.read_csv(out / "trace.csv")
     json.loads((out / "manifest.json").read_text())
+
+
+def _exit_code(argv):
+    """main's return value, or the exit status argparse raised for a bad flag."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_oracle_and_make_city_reject_bad_flags(tmp_path, capsys):
+    two_point = ["oracle", "two-point", "--y1", "0,0", "--y2", "1,0", "--lambda1", "0.5",
+                 "--lambda2", "0.5", "--budget", "1"]
+    for flag, value in (("--lambda1", "nan"), ("--lambda2", "nan"), ("--lambda1", "-0.5"),
+                        ("--budget", "nan"), ("--budget", "0"), ("--budget", "inf"),
+                        ("--y2", "nan,0"), ("--y1", "0,inf")):
+        argv = list(two_point)
+        argv[argv.index(flag) + 1] = value
+        assert _exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+    sfile = tmp_path / "one.json"
+    sfile.write_text(json.dumps({"budget": 1.0, "eta": {"type": "discrete",
+                                                        "points": [[0.2, 0.4]], "probs": [1.0]}}))
+    mfile = tmp_path / "mu.json"
+    _write_measure(mfile, DiscreteMeasure([[0.2, 0.4]], [1.0]))
+    for reps in ("0", "-3"):
+        assert main(["oracle", "simulate", "--scenario", str(sfile), "--measure", str(mfile),
+                     "--reps", reps]) == 2
+        captured = capsys.readouterr()
+        assert "--reps" in captured.err and captured.out == ""
+    for budget in ("nan", "-1", "0", "inf"):
+        out = tmp_path / f"city{budget}.json"
+        assert main(["make-city", "--units", "4", "--out", str(out), "--budget", budget]) == 2
+        assert "--budget" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_worker_count_follows_affinity_mask(monkeypatch):
+    import os
+
+    from measurefw.cli import worker_count
+
+    monkeypatch.delenv("MEASURE_FW_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert worker_count() == 3
+    monkeypatch.setenv("MEASURE_FW_THREADS", "0")
+    assert worker_count() == 3
+    monkeypatch.setenv("MEASURE_FW_THREADS", "7")
+    assert worker_count() == 7
+    monkeypatch.setenv("MEASURE_FW_THREADS", "0")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert worker_count() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count() == 1

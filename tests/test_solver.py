@@ -11,6 +11,7 @@ from measurefw import (
     SolverConfig,
     beta,
     certify,
+    convex_hull,
     dfw_solve,
     fcfw_solve,
     fully_corrective,
@@ -22,6 +23,9 @@ from measurefw import (
     smoothness_constant,
     two_point_optimum,
 )
+from measurefw.geometry import contains_many, project_many
+from measurefw.response import InfluenceKernel
+from measurefw.solver import _adam_descend
 from helpers import CURVE, rand_discrete_eta
 
 SQRT3 = np.sqrt(3.0)
@@ -132,6 +136,14 @@ def test_two_point_optimum_cases():
     )
     with pytest.raises(ValueError):
         two_point_optimum([0, 0], [1, 0], 0.7, 0.6, 1.0)
+
+
+def test_two_point_optimum_rejects_nan():
+    for lam1, lam2, budget, match in ((np.nan, 0.5, 1.0, "lambda1, lambda2"),
+                                      (0.5, np.nan, 1.0, "lambda1, lambda2"),
+                                      (0.5, 0.5, np.nan, "budget must be positive")):
+        with pytest.raises(ValueError, match=match):
+            two_point_optimum([0, 0], [1, 0], lam1, lam2, budget)
 
 
 def test_two_point_optimum_grid_search_oracle():
@@ -301,3 +313,138 @@ def test_solver_config_validation():
     for name in ("adam_lr", "correction_lr", "fw_tolerance"):
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{name: float("nan")})
+
+
+# --- successive halving of the Adam lanes -----------------------------------
+
+
+def _halving_case(n, seed=0, atoms=5):
+    rng = np.random.default_rng(seed)
+    probs, w = rng.random(n) + 0.1, rng.random(atoms) + 0.1
+    eta = DiscretePoints(rng.uniform(0, 4, size=(n, 2)), probs / probs.sum())
+    mu = DiscreteMeasure(rng.uniform(0, 4, size=(atoms, 2)), w * (3.0 / w.sum()), 3.0)
+    kernel = InfluenceKernel.of(mu, eta, CURVE, "l2")
+    domain = convex_hull(eta.points)
+    return kernel, domain, rng
+
+
+def _plain_adam(kernel, domain, starts, config):
+    """Every lane for every step through the public projection (no halving)."""
+    lr = config.adam_lr * max(domain.diameter, 1e-12)
+    x, m, v = starts.copy(), np.zeros_like(starts), np.zeros_like(starts)
+    b1, b2 = 0.9, 0.999
+    for t in range(1, config.adam_steps + 1):
+        g = kernel.influence_gradient(x, on_singular="mask")
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        x = x - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + 1e-8)
+        x = project_many(domain, x)
+    return x
+
+
+def _recorded_descent(kernel, domain, starts, config):
+    """Run `_adam_descend`, recording which lanes each gradient call and rung saw.
+
+    Returns (result, live lanes per gradient call, rungs); a rung is (gradient
+    calls before it, live lanes, their points, their influence values, kept
+    lanes).  Kept
+    lanes are found by matching the rows the next gradient call gets, first
+    match in lane order.
+    """
+    grad, infl = kernel.influence_gradient, kernel.influence
+    events = []
+    def spy_grad(xs, **kw):
+        events.append(("g", np.array(xs)))
+        return grad(xs, **kw)
+
+    def spy_infl(xs):
+        events.append(("h", np.array(xs), infl(xs)))
+        return events[-1][2]
+
+    kernel.influence_gradient, kernel.influence = spy_grad, spy_infl
+    try:
+        out = _adam_descend(kernel, domain, starts, config)
+    finally:
+        del kernel.influence_gradient, kernel.influence
+    live, calls, rungs, rung = np.arange(len(starts)), [], [], None
+    for kind, xs, *h in events:
+        if kind == "h":
+            rung = (len(calls), live, xs, h[0])
+            continue
+        if rung is not None:
+            step, before, xr, hr = rung
+            kept, at = [], -1
+            for row in xs:
+                at = at + 1 + int(np.flatnonzero(np.all(xr[at + 1:] == row, axis=1))[0])
+                kept.append(at)
+            live = before[kept]
+            rungs.append((step, before, xr, hr, live))
+            rung = None
+        calls.append(live)
+    return out, calls, rungs
+
+
+@pytest.mark.parametrize("n", [3, 2000])
+def test_lane_gradient_independent_of_other_lanes(n):
+    kernel, domain, rng = _halving_case(n)
+    xs = rng.uniform(-0.5, 4.5, size=(64, 2))
+    full = kernel.influence_gradient(xs, on_singular="mask")
+    for _ in range(40):
+        lanes = np.sort(rng.choice(64, size=int(rng.integers(2, 65)), replace=False))
+        sub = kernel.influence_gradient(xs[lanes], on_singular="mask")
+        assert np.array_equal(sub, full[lanes])
+    # projection treats each point on its own, inside or outside the domain
+    proj = project_many(domain, xs)
+    for lanes in (np.arange(1), np.arange(2, 40, 3), rng.choice(64, 7, replace=False)):
+        assert np.array_equal(project_many(domain, xs[lanes]), proj[lanes])
+
+
+@pytest.mark.parametrize("n", [3, 2000])
+def test_halving_survivors_follow_their_unpruned_trajectory(n):
+    kernel, domain, rng = _halving_case(n, seed=1)
+    cfg = SolverConfig(inner_restarts=6, adam_steps=40)
+    starts = rng.uniform(0, 4, size=(6, 2))
+    out, calls, rungs = _recorded_descent(kernel, domain, starts, cfg)
+    survivors = calls[-1]
+    assert len(survivors) == 2  # the floor
+    pair = _adam_descend(kernel, domain, starts[survivors], cfg)
+    assert np.array_equal(pair, out[survivors])
+    assert np.array_equal(pair, _plain_adam(kernel, domain, starts[survivors], cfg))
+
+
+@pytest.mark.parametrize("lanes,steps", [(6, 80), (56, 300), (5, 40), (3, 16), (7, 3), (4, 1)])
+def test_halving_rungs_keep_the_lowest_influence(lanes, steps):
+    kernel, domain, rng = _halving_case(2000 if lanes == 6 else 40, seed=lanes)
+    starts = rng.uniform(0, 4, size=(lanes, 2))
+    out, calls, rungs = _recorded_descent(kernel, domain, starts, SolverConfig(adam_steps=steps))
+    assert out.shape == (lanes, 2)
+    assert np.all(contains_many(domain, out))
+    assert len(calls) == steps
+    # a rung after steps T//8, T//4 and T//2 while more than two lanes live
+    live, expected = lanes, []
+    for step in sorted({steps // 8, steps // 4, steps // 2} - {0}):
+        if live > 2:
+            expected.append((step, live, max((live + 1) // 2, 2)))
+            live = expected[-1][2]
+    assert [(step, len(before), len(kept)) for step, before, _, _, kept in rungs] == expected
+    for step, before, xr, h, kept in rungs:
+        # the kept lanes have the lowest h, in lane order, ties to the lower lane
+        assert np.array_equal(kept, before[np.sort(np.argsort(h, kind="stable")[:len(kept)])])
+        dropped = ~np.isin(before, kept)
+        assert h[~dropped].max() <= h[dropped].min()
+        # a dropped lane's row is where it was when it was dropped
+        assert np.array_equal(out[before[dropped]], xr[dropped])
+    lane_steps = sum(len(c) for c in calls)
+    if (lanes, steps) == (6, 80):  # the city subproblem: 480 lane-steps become 210
+        assert lane_steps == 210
+    if (lanes, steps) == (56, 300):  # certify's refine: 16,800 become 5,236
+        assert lane_steps == 5236
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_adam_without_halving_is_the_plain_descent(lanes):
+    kernel, domain, rng = _halving_case(300, seed=3)
+    cfg = SolverConfig(inner_restarts=2, adam_steps=80)  # criterion 1's lane count
+    starts = rng.uniform(0, 4, size=(lanes, 2))
+    assert np.array_equal(_adam_descend(kernel, domain, starts, cfg),
+                          _plain_adam(kernel, domain, starts, cfg))
