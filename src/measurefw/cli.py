@@ -4,11 +4,12 @@ Exit codes: 0 success, 2 input/schema error, 3 solver precondition violation,
 4 certification failed.  All structured outputs are JSON, grids and traces
 are CSV, and files are written atomically (temp file + rename).
 
-The environment variable MEASURE_FW_THREADS caps the worker count used for
-grid evaluation (0 or unset = auto).  Workers evaluate the same fixed-size
-blocks that a single-threaded evaluation processes one after another (the
-kernel's `block`), whatever the worker count, so the thread count never
-changes the output.
+The environment variable MEASURE_FW_THREADS caps the worker threads of every
+large influence sweep, such as the `influence-map` grid and `certify`'s
+lattice (0 or unset = auto; see `response.worker_count`); every command
+rejects a malformed value with exit 2 before it starts.  The kernel's
+fixed-size blocks are also its unit of parallel work, so the thread count
+never changes the output.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -30,7 +30,7 @@ from . import __version__
 from .geometry import contains_many
 from .measure import DiscreteMeasure, check_budget
 from .l1 import l1_solve_on_grid
-from .response import InfluenceKernel, simulate_objective
+from .response import InfluenceKernel, simulate_objective, worker_count
 from .scenario import ScenarioError, load_scenario, make_city
 from .solver import (
     SolverConfig,
@@ -46,24 +46,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_NOT_CERTIFIED = 4
-
-
-def worker_count() -> int:
-    """Worker cap from MEASURE_FW_THREADS (0 or unset means auto)."""
-    raw = os.environ.get("MEASURE_FW_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ScenarioError(f"MEASURE_FW_THREADS must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise ScenarioError("MEASURE_FW_THREADS must be nonnegative")
-    if n == 0:
-        # the CPUs this process may run on, which a cpuset can make fewer
-        # than the machine has
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0)) or 1
-        return os.cpu_count() or 1
-    return n
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -159,14 +141,8 @@ def cmd_solve(args) -> int:
 
 
 def _grid_h_values(kernel: InfluenceKernel, pts: np.ndarray) -> np.ndarray:
-    # the pool gets exactly the blocks one `kernel.influence(pts)` call would
-    # evaluate, so every value is computed by the same array operations
-    blocks = [pts[lo : lo + kernel.block] for lo in range(0, len(pts), kernel.block)]
-    workers = min(worker_count(), len(blocks))
-    if workers <= 1:
-        return kernel.influence(pts)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(kernel.influence, blocks)))
+    # a named layer of its own for the benchmark's tracer
+    return kernel.influence(pts)
 
 
 def cmd_influence_map(args) -> int:
@@ -326,6 +302,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.raw_argv = argv
     try:
+        worker_count()  # a malformed MEASURE_FW_THREADS fails before any work
         return args.func(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -86,8 +86,15 @@ def pairwise_distance(a, b, norm=L2) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    dx = a[:, 0][:, None] - b[:, 0][None, :]
-    dy = a[:, 1][:, None] - b[:, 1][None, :]
+    shape = (len(a), len(b))
+    return _distances_into(a, b, norm, np.empty(shape), np.empty(shape))
+
+
+def _distances_into(a, b, norm, out, scratch) -> np.ndarray:
+    """`pairwise_distance` of float arrays, written to `out`; `scratch` is overwritten."""
+    dx, dy = out, scratch
+    np.subtract(a[:, 0][:, None], b[:, 0][None, :], out=dx)
+    np.subtract(a[:, 1][:, None], b[:, 1][None, :], out=dy)
     if norm_key(norm) == L2:
         with np.errstate(over="ignore"):
             np.multiply(dx, dx, out=dx)

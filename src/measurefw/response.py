@@ -9,10 +9,15 @@ the segment tables once per measure; each query then finds its segment with
 a branchless binary search over the row's padded sorted distances.
 
 Queries run in blocks of at most 65,536 (demand x query) entries, so each
-float64 temporary (512 KB) stays in cache across the distance, search, beta
+float64 buffer (512 KB) stays in cache across the distance, search, beta
 and gather passes.  A block holds a multiple of 8 query points (at most
 4,096), which keeps the `probs @ tails` product on BLAS's full-vector path:
 a partial vector takes a scalar tail path that moves single values by an ulp.
+Blocks are also the unit of parallel work: a large `influence` sweep hands
+contiguous runs of whole blocks to up to `worker_count()` threads (the
+MEASURE_FW_THREADS cap), and each worker evaluates its blocks in place in one
+set of buffers that it reuses from block to block.  The operations per block
+are the same for any worker count, so the values are too.
 
 All Stieltjes integrals run over (0, inf), carrying total curve mass
 1 - beta(0); the raw death probability is beta(0) plus the objective, and
@@ -21,13 +26,17 @@ the simulation oracle subtracts beta(0) accordingly.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
-from .geometry import L2, norm_key, pairwise_distance
+from .geometry import L2, _distances_into, norm_key, pairwise_distance
 from .measure import DiscreteMeasure, check_budget
 from .scenario import (
     DeathCurve,
     DiscretePoints,
+    ScenarioError,
     _beta_prime_values,
     _beta_values,
     beta,
@@ -47,6 +56,7 @@ __all__ = [
     "simulate_objective",
     "smoothness_constant",
     "demand_of",
+    "worker_count",
 ]
 
 _SINGULAR_EPS = 1e-9
@@ -55,6 +65,27 @@ _CHUNK_ELEMS = 65_536  # soft cap on (demand x query) entries per block
 # splits into blocks for the influence-map workers
 _CHUNK_POINTS = 4096
 _BLOCK_ALIGN = 8  # block sizes are multiples of this many query points
+# an `influence` sweep of fewer (demand x query) entries runs in the calling
+# thread, so that small sweeps pay no thread start-up
+_THREAD_MIN_ELEMS = 2 * _CHUNK_ELEMS
+
+
+def worker_count() -> int:
+    """Worker cap from MEASURE_FW_THREADS (0 or unset means auto)."""
+    raw = os.environ.get("MEASURE_FW_THREADS", "0")
+    try:
+        n = int(raw)
+    except ValueError as exc:
+        raise ScenarioError(f"MEASURE_FW_THREADS must be an integer, got {raw!r}") from exc
+    if n < 0:
+        raise ScenarioError("MEASURE_FW_THREADS must be nonnegative")
+    if n == 0:
+        # the CPUs this process may run on, which a cpuset can make fewer
+        # than the machine has
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0)) or 1
+        return os.cpu_count() or 1
+    return n
 
 
 class SampleBatch:
@@ -138,7 +169,9 @@ class InfluenceKernel:
     vectorised passes over (demand x query) arrays.  `influence` works
     through its query points in blocks of `block` points: the largest
     multiple of 8 with block * n <= 65,536, capped at 4,096 and at least 8
-    (see the module docstring for why).
+    (see the module docstring for why).  A block is also the unit of
+    parallel work in a large sweep; each worker thread reuses one set of
+    buffers for all of its blocks.
     """
 
     def __init__(self, atoms, weights, demand_points, demand_probs, curve, norm, budget=None):
@@ -200,45 +233,90 @@ class InfluenceKernel:
     def objective(self) -> float:
         return float(self.probs @ self.survival_values)
 
-    def _segments(self, radii: np.ndarray) -> np.ndarray:
+    def _segments(self, radii: np.ndarray, idx=None, probe=None, hit=None) -> np.ndarray:
         """Flat table index row * P + k, k = #{atoms with d <= r}; radii is (n, ...).
 
         Radii must not be NaN.  Padding compares false, so the search never
         moves past column m; each pass halves the step and costs one gather
-        and one comparison.
+        and one comparison.  The result goes to `idx`; `probe` (float) and
+        `hit` (bool) are overwritten.  Buffers not given are allocated.
         """
+        if idx is None:
+            idx = np.empty(radii.shape, dtype=np.intp)
+            probe = np.empty(radii.shape)
+            hit = np.empty(radii.shape, dtype=bool)
         shape = (len(self._row_start),) + (1,) * (radii.ndim - 1)
-        idx = np.empty(radii.shape, dtype=np.intp)
         idx[...] = self._row_start.reshape(shape)
-        probe = np.empty(radii.shape)
-        hit = np.empty(radii.shape, dtype=bool)
+        moves = probe.view(np.intp)  # probe is dead after each comparison
         for step, shifted in self._probes:
-            np.take(shifted, idx, out=probe, mode="clip")
+            shifted.take(idx, out=probe, mode="clip")
             np.less_equal(probe, radii, out=hit)
-            idx += hit * step
+            np.multiply(hit, step, out=moves)
+            idx += moves
         return idx
 
     def tails(self, radii: np.ndarray) -> np.ndarray:
         """Tail integrals int_r^inf e^{-mass(t)} d(beta)(t); radii is (n, ...)."""
-        idx = self._segments(radii)
+        return self._tails(radii, self._segments(radii), np.empty(radii.shape),
+                           np.empty(radii.shape))
+
+    def _tails(self, radii, idx, out, scratch) -> np.ndarray:
+        """`tails` of radii in segments idx, written to `out`; `scratch` may be radii."""
         # r lies in the segment of mass cum_{k-1} (0 for k = 0), which ends at
-        # d_k (infinity once k = m); split the tail there.
-        return np.take(self._tail_flat, idx) + np.take(self._decay_flat, idx) * (
-            np.take(self._bval_flat, idx) - _beta_values(self.curve, radii))
+        # d_k (infinity once k = m); split the tail there:
+        # tail_k + decay_k * (beta(d_k) - beta(r)), one in-place pass each
+        _beta_values(self.curve, radii, out=out)
+        np.subtract(self._bval_flat.take(idx, out=scratch, mode="clip"), out, out=out)
+        out *= self._decay_flat.take(idx, out=scratch, mode="clip")
+        out += self._tail_flat.take(idx, out=scratch, mode="clip")
+        return out
 
     def ball_masses(self, radii: np.ndarray) -> np.ndarray:
         """Closed-ball masses mu(B(y_i, r)) for per-demand radii (n, ...)."""
         return np.take(self._cum_flat, self._segments(radii))
 
     def influence(self, xs) -> np.ndarray:
-        """Influence values at query points xs (k, 2); returns (k,)."""
+        """Influence values at query points xs (k, 2); returns (k,).
+
+        A sweep of at least `2 * _CHUNK_ELEMS` (demand x query) entries
+        splits its blocks into contiguous runs, one per worker, for up to
+        `worker_count()` threads; a smaller sweep runs in the calling thread.
+        Every block is computed by the same operations either way, so the
+        values do not depend on the worker count.
+        """
         xs = _query_points(xs)
         out = np.empty(len(xs))
-        step = self.block
-        for lo in range(0, len(xs), step):
-            r = pairwise_distance(self.demand, xs[lo : lo + step], self.norm)
-            out[lo : lo + step] = self.h_const - self.budget * (self.probs @ self.tails(r))
+        blocks = -(-len(xs) // self.block)
+        workers = 1
+        if len(self.demand) * len(xs) >= _THREAD_MIN_ELEMS:
+            workers = min(worker_count(), blocks)
+        if workers <= 1:
+            self._sweep(xs, out)
+            return out
+        cuts = [self.block * (blocks * i // workers) for i in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            runs = [pool.submit(self._sweep, xs[lo:hi], out[lo:hi])
+                    for lo, hi in zip(cuts, cuts[1:])]
+            for run in runs:
+                run.result()
         return out
+
+    def _sweep(self, xs, out) -> None:
+        """Influence at xs into out, block by block, in one reused set of buffers."""
+        n, k = len(self.demand), min(self.block, len(xs))
+        # r holds the distances, then the gathers; w the y-differences, then
+        # the search probes, then the tails
+        r, w = np.empty((n, k)), np.empty((n, k))
+        idx, hit = np.empty((n, k), dtype=np.intp), np.empty((n, k), dtype=bool)
+        for lo in range(0, len(xs), self.block):
+            q = xs[lo : lo + self.block]
+            if len(q) < k:  # the ragged last block: the leading part of each buffer
+                r, w, idx, hit = (a.reshape(-1)[: n * len(q)].reshape(n, len(q))
+                                  for a in (r, w, idx, hit))
+            _distances_into(self.demand, q, self.norm, r, w)
+            self._segments(r, idx, w, hit)
+            t = self._tails(r, idx, w, r)
+            out[lo : lo + len(q)] = self.h_const - self.budget * (self.probs @ t)
 
     def influence_gradient(self, xs, *, on_singular="raise") -> np.ndarray:
         """Gradient of the influence function at xs (k, 2); Euclidean norm only.

@@ -60,10 +60,18 @@ class DeathCurve:
             raise ValueError("death curve intercept a must be nonnegative for strict concavity")
 
 
-def _beta_values(curve: DeathCurve, arr: np.ndarray) -> np.ndarray:
-    """beta over an array of response times, without validating them."""
-    z = curve.a + curve.c * arr
-    return 1.0 / (1.0 + np.exp(-z))
+def _beta_values(curve: DeathCurve, arr: np.ndarray, out=None) -> np.ndarray:
+    """beta over an array of response times, without validating them.
+
+    Each pass writes to `out` (a new array when None), which may be `arr`.
+    """
+    out = np.empty(np.shape(arr)) if out is None else out
+    np.multiply(arr, curve.c, out=out)
+    out += curve.a
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def _beta_prime_values(curve: DeathCurve, arr: np.ndarray) -> np.ndarray:

@@ -495,6 +495,9 @@ def certify(mu: DiscreteMeasure, problem: Problem, grid_resolution: int,
     of the steps (never below two); every lane's last point is a candidate.
     Returns (min_h, argmin).  The measure is approximately optimal at
     tolerance tau iff min_h >= -tau.  mu's budget must be the problem's.
+    The lattice sweep is one `InfluenceKernel.influence` call, so a large
+    lattice runs on up to `worker_count()` threads, with the same result
+    for any count; a malformed MEASURE_FW_THREADS then raises ScenarioError.
     """
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be >= 1")

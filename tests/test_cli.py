@@ -4,10 +4,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from measurefw import DeathCurve, DiscreteMeasure, SolveTrace, load_scenario, two_point_optimum
+from measurefw import (
+    DeathCurve,
+    DiscreteMeasure,
+    SolverConfig,
+    ScenarioError,
+    SolveTrace,
+    certify,
+    load_scenario,
+    two_point_optimum,
+)
 from measurefw.cli import main
 from measurefw.geometry import contains_many
-from measurefw.response import InfluenceKernel
+from measurefw.response import _THREAD_MIN_ELEMS, InfluenceKernel
 from measurefw.solver import lattice_points
 
 CURVE = DeathCurve()
@@ -230,6 +239,57 @@ def test_influence_map_thread_count_invariance(tmp_path, monkeypatch):
         outputs.append(out.read_bytes())
     assert all(o.count(b"\n") == 1 + resolution**2 for o in outputs)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _grid_certify_case(tmp_path):
+    """A 20 x 20 demand grid whose certify lattice at --grid 20 is a threaded sweep."""
+    side = np.linspace(0.0, 1.0, 20)
+    gx, gy = np.meshgrid(side, side)
+    demand = np.column_stack([gx.ravel(), gy.ravel()])
+    scenario = tmp_path / "grid20.json"
+    scenario.write_text(json.dumps({"budget": 2.0, "norm": "l2", "eta": {
+        "type": "discrete", "points": demand.tolist(),
+        "probs": np.full(len(demand), 1.0 / len(demand)).tolist()}}))
+    mu = DiscreteMeasure([[0.2, 0.3], [0.7, 0.6], [0.4, 0.9]], [0.5, 1.0, 0.5], 2.0)
+    mfile = tmp_path / "grid20_mu.json"
+    _write_measure(mfile, mu)
+    # the lattice, then the pool: the atoms and the demand points
+    assert len(demand) * (20 * 20 + 3 + len(demand)) >= _THREAD_MIN_ELEMS
+    argv = ["certify", "--scenario", str(scenario), "--measure", str(mfile),
+            "--grid", "20", "--tol", "1e-3", "--seed", "3"]
+    return load_scenario(str(scenario)), mu, argv
+
+
+def test_certify_thread_count_invariance(tmp_path, monkeypatch, capsys):
+    problem, mu, argv = _grid_certify_case(tmp_path)
+    results, runs = [], []
+    for workers in ("1", "2", "4"):
+        monkeypatch.setenv("MEASURE_FW_THREADS", workers)
+        min_h, argmin = certify(mu, problem, 20, SolverConfig(seed=3))
+        results.append((min_h, argmin.tobytes()))
+        rc = main(argv)
+        runs.append((rc, capsys.readouterr().out))
+    assert results[0] == results[1] == results[2]
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][1].startswith(f"min_h={results[0][0]!r} ")
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
+def test_malformed_thread_cap_exits_2_from_certify(raw, tmp_path, monkeypatch, capsys,
+                                                    two_point_file):
+    problem, mu, argv = _grid_certify_case(tmp_path)
+    mfile = tmp_path / "two_mu.json"
+    _write_measure(mfile, two_point_optimum([0, 0], [1, 0], 0.5, 0.5, 1.0))
+    small = ["certify", "--scenario", two_point_file, "--measure", str(mfile),
+             "--grid", "5", "--tol", "1e-3"]
+    monkeypatch.setenv("MEASURE_FW_THREADS", raw)
+    with pytest.raises(ScenarioError, match="MEASURE_FW_THREADS"):
+        certify(mu, problem, 20, SolverConfig(seed=3))
+    for cmd in (argv, small):
+        assert main(cmd) == 2
+        captured = capsys.readouterr()
+        assert "MEASURE_FW_THREADS" in captured.err
+        assert captured.out == ""
 
 
 def test_nonfinite_query_points_exit_3(tmp_path):

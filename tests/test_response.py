@@ -23,7 +23,8 @@ from measurefw import (
     tv_distance,
 )
 from measurefw.geometry import pairwise_distance
-from measurefw.response import _CHUNK_ELEMS, InfluenceKernel
+from measurefw import response
+from measurefw.response import _CHUNK_ELEMS, _THREAD_MIN_ELEMS, InfluenceKernel
 from helpers import (
     CURVE,
     mix_measures,
@@ -271,6 +272,69 @@ def test_influence_blocks_split_exactly(n, norm):
                                   replace=False)) * blk
         parts = [kernel.influence(part) for part in np.split(xs, cuts)]
         assert np.concatenate(parts).tobytes() == whole
+
+
+def _counted_executor(monkeypatch):
+    """Count the thread pools `influence` creates; returns the list of pool sizes."""
+    made = []
+
+    class Counted(response.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(response, "ThreadPoolExecutor", Counted)
+    return made
+
+
+@pytest.mark.parametrize("norm", ["l2", "l1"])
+@pytest.mark.parametrize("m", [1, 8, 40, 64])
+def test_influence_sweep_matches_per_block_formula(m, norm, monkeypatch):
+    # m = 64 needs a 128-column table; m = 40 fits in 64 columns
+    rng = np.random.default_rng(m)
+    n = 300
+    demand = rng.uniform(0.0, 1.0, size=(n, 2))
+    probs = rng.random(n) + 0.1
+    probs /= probs.sum()
+    kernel = InfluenceKernel(rng.uniform(0.0, 1.0, size=(m, 2)), rng.random(m) + 0.1,
+                             demand, probs, CURVE, norm)
+    blk = kernel.block
+    xs = rng.uniform(-0.2, 1.2, size=(5 * blk + 3, 2))  # a ragged last block
+    assert n * len(xs) >= _THREAD_MIN_ELEMS
+    want = np.concatenate([
+        kernel.h_const - kernel.budget
+        * (probs @ kernel.tails(pairwise_distance(demand, xs[lo : lo + blk], norm)))
+        for lo in range(0, len(xs), blk)]).tobytes()
+    made = _counted_executor(monkeypatch)
+    for workers in ("1", "2", "4"):
+        monkeypatch.setenv("MEASURE_FW_THREADS", workers)
+        assert kernel.influence(xs).tobytes() == want
+    assert made == [2, 4]
+
+
+def test_small_or_single_worker_sweeps_create_no_executor(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("executor created")
+
+    rng = np.random.default_rng(9)
+    n = 300
+    kernel = InfluenceKernel(rng.uniform(0.0, 1.0, size=(12, 2)), rng.random(12) + 0.1,
+                             rng.uniform(0.0, 1.0, size=(n, 2)), np.full(n, 1.0 / n), CURVE,
+                             "l2")
+    below = rng.uniform(0.0, 1.0, size=(_THREAD_MIN_ELEMS // n, 2))
+    above = rng.uniform(0.0, 1.0, size=(4 * kernel.block, 2))
+    assert n * len(below) < _THREAD_MIN_ELEMS <= n * len(above)
+    want = kernel.influence(above).tobytes()
+    monkeypatch.setattr(response, "ThreadPoolExecutor", refuse)
+    monkeypatch.setenv("MEASURE_FW_THREADS", "4")
+    kernel.influence(below)
+    monkeypatch.setenv("MEASURE_FW_THREADS", "1")
+    assert kernel.influence(above).tobytes() == want
+    # a single block has nothing to split, whatever the cap
+    wide = InfluenceKernel(kernel.atoms, np.ones(12), rng.uniform(0.0, 1.0, size=(20_000, 2)),
+                           np.full(20_000, 5e-5), CURVE, "l2")
+    monkeypatch.setenv("MEASURE_FW_THREADS", "4")
+    assert wide.influence(above[: wide.block]).shape == (wide.block,)
 
 
 def test_kernel_finite_at_huge_coordinates():

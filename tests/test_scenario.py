@@ -43,6 +43,15 @@ def test_beta_values():
         beta(CURVE, -0.5)
 
 
+def test_beta_in_place_passes_match_the_formula():
+    # beta is evaluated in place, one pass per operation, in the formula's order
+    t = np.concatenate([[0.0, np.inf], np.geomspace(1e-9, 1e3, 997)])
+    for curve in (CURVE, DeathCurve(a=0.3, c=2.5)):
+        want = 1.0 / (1.0 + np.exp(-(curve.a + curve.c * t)))
+        assert beta(curve, t).tobytes() == want.tobytes()
+        assert beta(curve, 0.7) == float(1.0 / (1.0 + np.exp(-(curve.a + curve.c * 0.7))))
+
+
 def test_beta_monotone():
     rng = np.random.default_rng(0)
     t = np.sort(rng.uniform(0, 30, size=(200, 2)), axis=1)
