@@ -62,9 +62,11 @@ def l1_solve_on_grid(problem: Problem, config: SolverConfig):
         _, g = obj.value_and_grad(p)
         h_verts = g - p @ g
         i = int(np.argmin(h_verts))
+        # p.h_verts = 0, so the minimum is nonpositive up to float dust
+        h_star = min(float(h_verts[i]), 0.0)
         atoms = int(np.sum(p * b > 1e-12 * b))
-        trace.append(k, j_k, float(h_verts[i]), verts[i], atoms, time.perf_counter() - t0)
-        if abs(h_verts[i]) < config.fw_tolerance:
+        trace.append(k, j_k, h_star, verts[i], atoms, time.perf_counter() - t0)
+        if abs(h_star) < config.fw_tolerance:
             break
         stalls = stalls + 1 if j_prev - j_k <= 1e-15 * (1.0 + abs(j_k)) else 0
         if stalls >= 3:

@@ -37,7 +37,6 @@ from .scenario import (
     DeathCurve,
     DiscretePoints,
     ScenarioError,
-    _beta_prime_values,
     _beta_values,
     beta,
     sample_incident,
@@ -163,10 +162,13 @@ class InfluenceKernel:
     - `_bval_flat`: beta at the segment's end (beta(d_0), .., beta(d_{m-1}), 1);
     - `_tail_flat`: the tail integral from the segment's end onwards.
 
-    A query radius r is located by a branchless binary search (`_segments`)
+    A query radius r is located by a branchless binary search (`_search`)
     that returns the closed-ball count k directly as a flat table index, so
     the objective, influence values and influence gradients are a few
-    vectorised passes over (demand x query) arrays.  `influence` works
+    vectorised passes over the same flat tables.  The sweeps (`influence`,
+    `tails`, `ball_masses`) run rows-first (demand x query) blocks;
+    `influence_gradient` runs query-major (query x demand), so that each of
+    its few Adam lanes is one contiguous row of n entries.  `influence` works
     through its query points in blocks of `block` points: the largest
     multiple of 8 with block * n <= 65,536, capped at 4,096 and at least 8
     (see the module docstring for why).  A block is also the unit of
@@ -189,7 +191,9 @@ class InfluenceKernel:
         # set on multiples of it get the same result as one call
         fit = min(_CHUNK_ELEMS // max(n, 1), _CHUNK_POINTS)
         self.block = max(_BLOCK_ALIGN, fit - fit % _BLOCK_ALIGN)
-        self._budget_probs = self.budget * self.probs[:, None]  # gradient coefficient
+        # the gradient's contiguous demand columns and its b p_i c factor
+        self._demand_x, self._demand_y = np.ascontiguousarray(self.demand.T)
+        self._grad_scale = self.budget * self.probs * curve.c
 
         order, d, bd, dbeta = _sorted_support(self.demand, self.atoms, curve, self.norm)
         width = 1 << m.bit_length()  # P > m, so every count 0..m has a column
@@ -236,10 +240,7 @@ class InfluenceKernel:
     def _segments(self, radii: np.ndarray, idx=None, probe=None, hit=None) -> np.ndarray:
         """Flat table index row * P + k, k = #{atoms with d <= r}; radii is (n, ...).
 
-        Radii must not be NaN.  Padding compares false, so the search never
-        moves past column m; each pass halves the step and costs one gather
-        and one comparison.  The result goes to `idx`; `probe` (float) and
-        `hit` (bool) are overwritten.  Buffers not given are allocated.
+        Buffers as in `_search`; those not given are allocated.
         """
         if idx is None:
             idx = np.empty(radii.shape, dtype=np.intp)
@@ -247,11 +248,24 @@ class InfluenceKernel:
             hit = np.empty(radii.shape, dtype=bool)
         shape = (len(self._row_start),) + (1,) * (radii.ndim - 1)
         idx[...] = self._row_start.reshape(shape)
+        return self._search(radii, idx, probe, hit)
+
+    def _search(self, radii, idx, probe, hit) -> np.ndarray:
+        """Advance idx from each radius's row start to row * P + k, in place.
+
+        Works for any layout: idx must hold the row start of the demand
+        point each radius belongs to.  Radii must not be NaN.  Padding
+        compares false, so the search never moves past column m; each pass
+        halves the step and costs one gather and one comparison.  `probe`
+        (float, the shape of radii) and `hit` (bool) are overwritten.
+        """
         moves = probe.view(np.intp)  # probe is dead after each comparison
         for step, shifted in self._probes:
             shifted.take(idx, out=probe, mode="clip")
             np.less_equal(probe, radii, out=hit)
-            np.multiply(hit, step, out=moves)
+            # a uint8 view of the mask multiplies faster than the bool, but
+            # a step of 256 or more does not fit its dtype (numpy raises)
+            np.multiply(hit.view(np.uint8) if step < 256 else hit, step, out=moves)
             idx += moves
         return idx
 
@@ -321,6 +335,9 @@ class InfluenceKernel:
     def influence_gradient(self, xs, *, on_singular="raise") -> np.ndarray:
         """Gradient of the influence function at xs (k, 2); Euclidean norm only.
 
+        Runs query-major: each query's row holds its n demand entries
+        contiguously, over the same flat tables as the rows-first sweeps.  A
+        query's gradient does not depend on the other queries of the call.
         With `on_singular="mask"`, demand points coincident with a query
         contribute zero instead of raising (used by the projected optimizer,
         where iterates may land on demand points).
@@ -328,11 +345,12 @@ class InfluenceKernel:
         if self.norm != L2:
             raise ValueError("influence gradient is only available under the L2 norm")
         xs = _query_points(xs)
-        dx = xs[:, 0] - self.demand[:, 0][:, None]  # (n, k)
-        dy = xs[:, 1] - self.demand[:, 1][:, None]
+        dx = xs[:, :1] - self._demand_x  # (k, n)
+        dy = xs[:, 1:] - self._demand_y
         with np.errstate(over="ignore"):  # only past ~1e154, where beta' / r is 0 anyway
             r = dx * dx
-            r += dy * dy
+            w = dy * dy
+        r += w
         np.sqrt(r, out=r)
         singular = r < _SINGULAR_EPS
         any_singular = singular.any()
@@ -340,11 +358,26 @@ class InfluenceKernel:
             if on_singular == "raise":
                 raise ValueError("gradient singular at demand point")
             r[singular] = 1.0
-        decay = np.take(self._decay_flat, self._segments(r))  # e^{-mass(B(y, r))}
-        coef = self._budget_probs * decay * _beta_prime_values(self.curve, r) / r
+        idx = np.empty(r.shape, dtype=np.intp)
+        idx[...] = self._row_start
+        self._search(r, idx, w, np.empty(r.shape, dtype=bool))
+        coef = self._decay_flat.take(idx, out=w, mode="clip")  # e^{-mass(B(y, r))}
+        coef *= self._grad_scale
+        # b p_i beta'(r) / r with beta'(r) = c e / (1 + e)^2, e = e^{-(a + c r)}
+        e = np.multiply(r, -self.curve.c)
+        e -= self.curve.a
+        np.exp(e, out=e)
+        coef *= e
+        e += 1.0
+        e *= e
+        e *= r
+        coef /= e
         if any_singular:
             coef[singular] = 0.0
-        return np.column_stack([np.einsum("nk,nk->k", coef, dx), np.einsum("nk,nk->k", coef, dy)])
+        grad = np.empty((len(xs), 2))
+        np.einsum("kn,kn->k", coef, dx, out=grad[:, 0])
+        np.einsum("kn,kn->k", coef, dy, out=grad[:, 1])
+        return grad
 
 
 def _query_points(xs) -> np.ndarray:

@@ -175,6 +175,20 @@ def test_l1_solve_certificate_matches_kernel_influence():
         assert abs(trace.rows[-1].h_star - h_min) <= 1e-12 * max(1.0, abs(kernel.h_const))
 
 
+@pytest.mark.parametrize("demand,budget", [
+    ([[0.0, 0.0], [1e6, 0.0], [0.0, 1e6]], 1.0),
+    ([[0.0, 0.0], [1e-12, 1e-12], [1.0, 0.0]], 1e-3),
+])
+def test_l1_solve_h_star_is_never_positive(demand, budget):
+    # on these the vertex influence minimum is zero up to float dust of
+    # either sign; the trace records it clamped, as fcfw_solve does
+    eta = DiscretePoints(demand, [1 / 3] * 3)
+    _, trace = l1_solve_on_grid(Problem(eta, budget=budget, norm="l1"),
+                                SolverConfig(max_outer_iters=5, seed=0))
+    assert len(trace.rows) > 0
+    assert all(row.h_star <= 0.0 for row in trace.rows)
+
+
 def test_minimize_influence_l1_takes_the_candidate_pool_minimum():
     # under L1 the subproblem runs no Adam: its answer is the minimum over the
     # support atoms, the demand points and the demand vertex grid, clamped at 0

@@ -11,6 +11,7 @@ from measurefw import (
     SampleBatch,
     UniformRect,
     beta,
+    beta_prime,
     correction_gradient,
     directional_derivative,
     influence,
@@ -362,17 +363,20 @@ def _brute_tail(w, d, r):
                for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 
-@pytest.mark.parametrize("m", [1, 3, 4, 7, 8, 15, 16])
+@pytest.mark.parametrize("m", [1, 3, 4, 7, 8, 15, 16, 255, 256, 300])
 def test_segment_tables_match_brute_force(m):
-    # atom counts at and around the power-of-two table widths; integer
-    # coordinates make many distances tie exactly, and one atom sits on a
-    # demand point
+    # atom counts at and around the power-of-two table widths (from 256
+    # atoms the table is 512 wide and the search's first step is 256);
+    # integer coordinates make many distances tie exactly, and one atom sits
+    # on a demand point.  Past 16 atoms the weights shrink so that the total
+    # mass stays below ~17: e^{-mass} moves by mass x its rounding, which the
+    # two summation orders do not share
     rng = np.random.default_rng(100 + m)
     n = 5
     demand = rng.integers(-3, 4, size=(n, 2)).astype(float)
     atoms = rng.integers(-3, 4, size=(m, 2)).astype(float)
     atoms[0] = demand[0]
-    w = rng.random(m) + 0.1
+    w = (rng.random(m) + 0.1) * (16 / max(m, 16))
     for norm in ("l1", "l2"):
         kernel = InfluenceKernel(atoms, w, demand, np.full(n, 1 / n), CURVE, norm)
         d = pairwise_distance(demand, atoms, norm)
@@ -383,6 +387,66 @@ def test_segment_tables_match_brute_force(m):
                               for i, row in enumerate(radii)])
         np.testing.assert_allclose(kernel.ball_masses(radii), want_mass, rtol=1e-13, atol=0)
         np.testing.assert_allclose(kernel.tails(radii), want_tail, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("m", [1, 7, 16, 255, 256, 300])
+def test_query_major_search_is_the_transposed_segment_search(m):
+    # the gradient's (query, demand) layout starts each entry at its demand
+    # row and must land on the same flat index as the rows-first search,
+    # tied L1 distances included
+    rng = np.random.default_rng(200 + m)
+    n = 6
+    demand = rng.integers(-3, 4, size=(n, 2)).astype(float)
+    atoms = rng.integers(-3, 4, size=(m, 2)).astype(float)
+    kernel = InfluenceKernel(atoms, rng.random(m) + 0.1, demand, np.full(n, 1 / n), CURVE, "l1")
+    d = pairwise_distance(demand, atoms, "l1")
+    radii = np.hstack([d, np.zeros((n, 1)), rng.integers(0, 13, size=(n, 20)).astype(float)])
+    rows_first = kernel._segments(radii)
+    counts = np.array([[np.sum(d[i] <= r) for r in row] for i, row in enumerate(radii)])
+    assert np.array_equal(rows_first - kernel._row_start[:, None], counts)
+    q = np.ascontiguousarray(radii.T)
+    idx = np.empty(q.shape, dtype=np.intp)
+    idx[...] = kernel._row_start
+    got = kernel._search(q, idx, np.empty(q.shape), np.empty(q.shape, dtype=bool))
+    assert got.dtype == rows_first.dtype
+    assert np.array_equal(got, rows_first.T)
+
+
+def _rows_first_gradient(kernel, xs):
+    """The gradient as one (demand x query) pass, singular entries masked."""
+    dx = xs[:, 0] - kernel.demand[:, 0][:, None]
+    dy = xs[:, 1] - kernel.demand[:, 1][:, None]
+    r = np.sqrt(dx * dx + dy * dy)
+    singular = r < 1e-9
+    r[singular] = 1.0
+    decay = kernel._decay_flat[kernel._segments(r)]
+    coef = kernel.budget * kernel.probs[:, None] * decay * beta_prime(kernel.curve, r) / r
+    coef[singular] = 0.0
+    return np.column_stack([np.einsum("nk,nk->k", coef, dx), np.einsum("nk,nk->k", coef, dy)])
+
+
+@pytest.mark.parametrize("m", [1, 11, 40, 300])
+@pytest.mark.parametrize("n", [1, 2, 3, 2000])
+def test_influence_gradient_matches_rows_first_formula(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    demand = rng.uniform(0.0, 4.0, size=(n, 2))
+    probs = rng.random(n) + 0.1
+    kernel = InfluenceKernel(rng.uniform(0.0, 4.0, size=(m, 2)), rng.random(m) * 50 / m,
+                             demand, probs / probs.sum(), CURVE, "l2")
+    for k in (1, 2, 6, 56):
+        xs = rng.uniform(-0.5, 4.5, size=(k, 2))
+        lanes = [xs, np.vstack([demand[n // 2] + [3e-10, -4e-10], xs[1:]])]
+        for q in lanes:
+            got = kernel.influence_gradient(q, on_singular="mask")
+            want = _rows_first_gradient(kernel, q)
+            scale = np.abs(want).max(axis=1)
+            assert np.all(np.abs(got - want).max(axis=1) <= 1e-12 * scale)
+            # one lane alone gives the bits it gets in the full call
+            for j in range(k):
+                assert kernel.influence_gradient(q[j : j + 1], on_singular="mask").tobytes() \
+                    == got[j].tobytes()
+        with pytest.raises(ValueError, match="singular"):
+            kernel.influence_gradient(lanes[1])
 
 
 def test_directional_derivative():
