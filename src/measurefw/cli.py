@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -61,27 +61,6 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run, serialized next to its outputs."""
-
-    command: str
-    argv: list
-    scenario: str
-    scenario_sha256: str
-    config: dict
-    seed: int
-    out: str
-    version: str = __version__
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _load_measure(path: str) -> DiscreteMeasure:
     p = Path(path)
     if not p.is_file():
@@ -115,26 +94,27 @@ def _config_from_args(args) -> SolverConfig:
 def cmd_solve(args) -> int:
     problem = load_scenario(args.scenario)
     config = _config_from_args(args)
-    rng = np.random.default_rng(config.seed)
     if args.algo == "fcfw":
-        measure, trace = fcfw_solve(problem, config, rng)
+        measure, trace = fcfw_solve(problem, config)
     elif args.algo == "dfw":
-        measure, trace = dfw_solve(problem, config, rng)
+        measure, trace = dfw_solve(problem, config)
     else:
         measure, trace = l1_solve_on_grid(problem, config)
     out = Path(args.out)
-    manifest = RunManifest(
-        command="solve",
-        argv=args.raw_argv,
-        scenario=args.scenario,
-        scenario_sha256=_sha256(Path(args.scenario)),
-        config=asdict(config),
-        seed=config.seed,
-        out=str(out),
-    )
+    # everything needed to reproduce the run, next to its outputs
+    manifest = {
+        "command": "solve",
+        "argv": args.raw_argv,
+        "scenario": args.scenario,
+        "scenario_sha256": hashlib.sha256(Path(args.scenario).read_bytes()).hexdigest(),
+        "config": asdict(config),
+        "seed": config.seed,
+        "out": str(out),
+        "version": __version__,
+    }
     _write_atomic(out / "measure.json", json.dumps(measure.to_json(), indent=2) + "\n")
     _write_atomic(out / "trace.csv", trace.to_csv_text())
-    _write_atomic(out / "manifest.json", json.dumps(manifest.to_json(), indent=2) + "\n")
+    _write_atomic(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {out}/measure.json ({measure.n_atoms} atoms), trace.csv "
           f"({len(trace)} rows), manifest.json")
     return EXIT_OK
@@ -224,6 +204,12 @@ def cmd_make_city(args) -> int:
     return EXIT_OK
 
 
+def _seed_arg(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):  # numpy takes nonnegative integer seeds
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _point_arg(text: str) -> list:
     parts = text.split(",")
     if len(parts) != 2:
@@ -245,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--algo", choices=["fcfw", "dfw", "l1grid"], default="fcfw")
     p.add_argument("--iters", type=int, default=None, help="outer iterations")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--batch", type=int, default=None, help="sample size for continuous eta")
     p.add_argument("--tol", type=float, default=None, help="stop when |h*| drops below")
@@ -259,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--resolution", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.set_defaults(func=cmd_influence_map)
 
     p = sub.add_parser("certify", help="check the optimality certificate h >= -tol")
@@ -267,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--tol", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("oracle", help="analytic and simulation oracles")
@@ -283,12 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--scenario", required=True)
     q.add_argument("--measure", required=True)
     q.add_argument("--reps", type=int, required=True)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed_arg, default=0)
     q.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("make-city", help="emit a synthetic city scenario")
     p.add_argument("--units", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--budget", type=float, default=1.0)
     p.add_argument("--norm", choices=["l2", "l1"], default="l2")

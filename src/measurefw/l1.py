@@ -52,7 +52,7 @@ def l1_solve_on_grid(problem: Problem, config: SolverConfig):
     b = problem.budget
     obj = _SimplexObjective(verts, eta.points, eta.probs, problem.curve, L1, b)
     p = np.full(len(verts), 1.0 / len(verts))
-    step0 = _corrective_step0(config, b)
+    step0 = _corrective_step0(b)
     trace = SolveTrace()
     t0 = time.perf_counter()
     j_prev = np.inf

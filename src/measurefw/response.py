@@ -237,18 +237,13 @@ class InfluenceKernel:
     def objective(self) -> float:
         return float(self.probs @ self.survival_values)
 
-    def _segments(self, radii: np.ndarray, idx=None, probe=None, hit=None) -> np.ndarray:
-        """Flat table index row * P + k, k = #{atoms with d <= r}; radii is (n, ...).
-
-        Buffers as in `_search`; those not given are allocated.
-        """
-        if idx is None:
-            idx = np.empty(radii.shape, dtype=np.intp)
-            probe = np.empty(radii.shape)
-            hit = np.empty(radii.shape, dtype=bool)
+    def _segments(self, radii: np.ndarray) -> np.ndarray:
+        """Flat table index row * P + k, k = #{atoms with d <= r}; radii is (n, ...)."""
+        idx = np.empty(radii.shape, dtype=np.intp)
         shape = (len(self._row_start),) + (1,) * (radii.ndim - 1)
         idx[...] = self._row_start.reshape(shape)
-        return self._search(radii, idx, probe, hit)
+        return self._search(radii, idx, np.empty(radii.shape),
+                            np.empty(radii.shape, dtype=bool))
 
     def _search(self, radii, idx, probe, hit) -> np.ndarray:
         """Advance idx from each radius's row start to row * P + k, in place.
@@ -328,7 +323,8 @@ class InfluenceKernel:
                 r, w, idx, hit = (a.reshape(-1)[: n * len(q)].reshape(n, len(q))
                                   for a in (r, w, idx, hit))
             _distances_into(self.demand, q, self.norm, r, w)
-            self._segments(r, idx, w, hit)
+            idx[...] = self._row_start[:, None]
+            self._search(r, idx, w, hit)
             t = self._tails(r, idx, w, r)
             out[lo : lo + len(q)] = self.h_const - self.budget * (self.probs @ t)
 

@@ -51,33 +51,27 @@ __all__ = [
 class SolverConfig:
     """Tunables for the Frank-Wolfe loops and their subproblem solvers.
 
-    `adam_lr` is expressed in domain-diameter units and rescaled by the hull
-    diameter at run time; `correction_lr` is relative to the simplex
-    curvature bound b^2 (an effective step of correction_lr / b^2).
     `inner_restarts` is the number of Adam lanes a subproblem starts with and
     `adam_steps` the number of steps the lanes that survive successive
-    halving run (down to two lanes after half the steps).
+    halving run (down to two lanes after half the steps).  Counts are
+    integers >= 1 (numpy integers too) and `seed` is an integer >= 0.
     """
 
     max_outer_iters: int = 200
     inner_restarts: int = 16
     adam_steps: int = 300
-    adam_lr: float = 0.05
     fw_tolerance: float = 0.0
     correction_steps: int = 100
-    correction_lr: float = 1.0
     mc_batch_size: int = 1000
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_outer_iters", "inner_restarts", "adam_steps",
-                     "correction_steps", "mc_batch_size"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        # written as `not x > 0` so that NaN is rejected too
-        for name in ("adam_lr", "correction_lr"):
-            if not float(getattr(self, name)) > 0:
-                raise ValueError(f"{name} must be positive")
+        for name, low in (("max_outer_iters", 1), ("inner_restarts", 1), ("adam_steps", 1),
+                          ("correction_steps", 1), ("mc_batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
+        # written as `not x >= 0` so that NaN is rejected too
         if not float(self.fw_tolerance) >= 0:
             raise ValueError("fw_tolerance must be nonnegative")
 
@@ -113,21 +107,14 @@ class SolveTrace:
     def h_values(self) -> np.ndarray:
         return np.array([r.h_star for r in self.rows])
 
-    def write_csv(self, target) -> None:
-        if isinstance(target, (str, Path)):
-            with open(target, "w", newline="") as fh:
-                self.write_csv(fh)
-            return
-        w = csv.writer(target)
+    def to_csv_text(self) -> str:
+        buf = io.StringIO()
+        w = csv.writer(buf)
         w.writerow(self.HEADER)
         for r in self.rows:
             w.writerow([r.k, repr(r.j_value), repr(r.h_star),
                         repr(float(r.x_star[0])), repr(float(r.x_star[1])),
                         r.atoms, repr(r.seconds)])
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
         return buf.getvalue()
 
     @classmethod
@@ -232,9 +219,9 @@ def _pgd_simplex(obj: _SimplexObjective, p0, steps: int, step0: float):
     return p, j
 
 
-def _corrective_step0(config: SolverConfig, budget: float) -> float:
+def _corrective_step0(budget: float) -> float:
     # the simplex Hessian of J is bounded by b^2, so 1/b^2 is a safe base step
-    return config.correction_lr / max(budget * budget, 1e-30)
+    return 1.0 / max(budget * budget, 1e-30)
 
 
 def fully_corrective(support, p_init, problem: Problem, eta_or_batch, config: SolverConfig):
@@ -242,7 +229,7 @@ def fully_corrective(support, p_init, problem: Problem, eta_or_batch, config: So
     support = np.asarray(support, dtype=float).reshape(-1, 2)
     demand = demand_of(eta_or_batch if eta_or_batch is not None else problem.eta)
     obj = _SimplexObjective(support, *demand, problem.curve, problem.norm, problem.budget)
-    p, _ = _pgd_simplex(obj, p_init, config.correction_steps, _corrective_step0(config, problem.budget))
+    p, _ = _pgd_simplex(obj, p_init, config.correction_steps, _corrective_step0(problem.budget))
     return p
 
 
@@ -271,6 +258,8 @@ def _random_in_domain(domain: ConvexPolygon, rng, n: int) -> np.ndarray:
     return np.broadcast_to(v[0], (n, 2)).copy()
 
 
+# Adam's step in domain-diameter units (rescaled by the diameter at run time)
+_ADAM_LR = 0.05
 # Adam's moment decay rates and denominator guard (the usual defaults)
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -294,7 +283,7 @@ def _adam_descend(kernel: InfluenceKernel, domain: ConvexPolygon, starts: np.nda
     Returns one row per start, in start order: a dropped lane's row is where
     it was dropped.
     """
-    lr = config.adam_lr * max(domain.diameter, 1e-12)
+    lr = _ADAM_LR * max(domain.diameter, 1e-12)
     rungs = {config.adam_steps // d for d in _ADAM_RUNG_DIVISORS}
     out = starts.copy()
     x = starts.copy()
@@ -349,8 +338,7 @@ def _minimize_influence_kernel(kernel: InfluenceKernel, problem: Problem,
     return cands[i].copy(), min(float(h[i]), 0.0)
 
 
-def minimize_influence(mu: DiscreteMeasure, problem: Problem, config: SolverConfig,
-                       rng, eta_or_batch=None):
+def minimize_influence(mu: DiscreteMeasure, problem: Problem, config: SolverConfig, rng):
     """Approximately minimize the influence function of mu over the domain.
 
     Candidates are the support atoms plus, under L2, the demand points (for
@@ -360,10 +348,11 @@ def minimize_influence(mu: DiscreteMeasure, problem: Problem, config: SolverConf
     dropped lane's last point is still a candidate.  Under L1 they are the
     atoms and the demand vertex grid: in full for discrete eta (exact over
     the grid's span; it holds the demand points), at most 64 per axis for a
-    sampled batch.  mu's budget must be the problem's.
+    sampled batch.  The demand is the one `fcfw_solve` uses under config;
+    `rng` draws the Adam starts.  mu's budget must be the problem's.
     """
     check_budget(mu, problem.budget)
-    demand = eta_or_batch if eta_or_batch is not None else problem.eta
+    demand = _resolve_demand(problem, config)
     kernel = InfluenceKernel.of(mu, demand, problem.curve, problem.norm)
     return _minimize_influence_kernel(kernel, problem, config, rng)
 
@@ -375,7 +364,7 @@ def _resolve_demand(problem: Problem, config: SolverConfig):
     return SampleBatch.draw(problem.eta, config.mc_batch_size, config.seed)
 
 
-def _frank_wolfe(problem: Problem, config: SolverConfig, rng, update):
+def _frank_wolfe(problem: Problem, config: SolverConfig, update):
     """Outer loop shared by `fcfw_solve` and `dfw_solve`; returns (mu, trace).
 
     Each iteration records J and the subproblem's (x*, h*), then adds x* to
@@ -384,8 +373,7 @@ def _frank_wolfe(problem: Problem, config: SolverConfig, rng, update):
     x*'s atom and demand is (points, probs); it returns the next support and
     weights.  Weights are absolute (they sum to b).
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     b = problem.budget
     demand = demand_of(_resolve_demand(problem, config))
 
@@ -411,7 +399,7 @@ def _frank_wolfe(problem: Problem, config: SolverConfig, rng, update):
     return DiscreteMeasure(support, weights, budget=b), trace
 
 
-def fcfw_solve(problem: Problem, config: SolverConfig, rng=None):
+def fcfw_solve(problem: Problem, config: SolverConfig):
     """Fully-corrective Frank-Wolfe over discrete measures.
 
     Starts from a single atom at a uniform random domain point.  Each
@@ -424,7 +412,7 @@ def fcfw_solve(problem: Problem, config: SolverConfig, rng=None):
     b = problem.budget
     lip = smoothness_constant(b)
     radius = b  # total-variation diameter of the fixed-budget feasible set
-    step0 = _corrective_step0(config, b)
+    step0 = _corrective_step0(b)
 
     def corrective(k, support, weights, i, h_star, demand):
         obj = _SimplexObjective(support, *demand, problem.curve, problem.norm, b)
@@ -441,10 +429,10 @@ def fcfw_solve(problem: Problem, config: SolverConfig, rng=None):
         p = p[keep]
         return support[keep], p / p.sum() * b
 
-    return _frank_wolfe(problem, config, rng, corrective)
+    return _frank_wolfe(problem, config, corrective)
 
 
-def dfw_solve(problem: Problem, config: SolverConfig, rng=None):
+def dfw_solve(problem: Problem, config: SolverConfig):
     """Plain Frank-Wolfe averaging recursion with step sizes 2 / (k + 2).
 
     The atom set grows by one per iteration with multiplicative weight
@@ -462,7 +450,7 @@ def dfw_solve(problem: Problem, config: SolverConfig, rng=None):
         weights = weights[keep]
         return support[keep], weights * (b / weights.sum())
 
-    return _frank_wolfe(problem, config, rng, averaging)
+    return _frank_wolfe(problem, config, averaging)
 
 
 def two_point_optimum(y1, y2, lambda1: float, lambda2: float, budget: float) -> DiscreteMeasure:
@@ -487,7 +475,7 @@ def two_point_optimum(y1, y2, lambda1: float, lambda2: float, budget: float) -> 
 
 
 def certify(mu: DiscreteMeasure, problem: Problem, grid_resolution: int,
-            config: SolverConfig, rng=None, eta_or_batch=None):
+            config: SolverConfig, *, eta_or_batch=None):
     """Global influence sweep: lattice over the domain plus Adam refinement.
 
     The 16 lowest lattice or pool points and mu's atoms seed the projected
@@ -495,6 +483,8 @@ def certify(mu: DiscreteMeasure, problem: Problem, grid_resolution: int,
     of the steps (never below two); every lane's last point is a candidate.
     Returns (min_h, argmin).  The measure is approximately optimal at
     tolerance tau iff min_h >= -tau.  mu's budget must be the problem's.
+    The demand is the one `fcfw_solve` uses under config, unless the
+    keyword-only `eta_or_batch` (a discrete eta or a SampleBatch) is given.
     The lattice sweep is one `InfluenceKernel.influence` call, so a large
     lattice runs on up to `worker_count()` threads, with the same result
     for any count; a malformed MEASURE_FW_THREADS then raises ScenarioError.
@@ -502,8 +492,6 @@ def certify(mu: DiscreteMeasure, problem: Problem, grid_resolution: int,
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be >= 1")
     check_budget(mu, problem.budget)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     demand = eta_or_batch
     if demand is None:
         demand = _resolve_demand(problem, config)

@@ -435,6 +435,24 @@ def test_oracle_and_make_city_reject_bad_flags(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_bad_seed_exits_2_from_every_command(two_point_file, tmp_path, capsys):
+    mfile = tmp_path / "mu.json"
+    _write_measure(mfile, two_point_optimum([0, 0], [1, 0], 0.5, 0.5, 1.0))
+    common = ["--scenario", two_point_file, "--measure", str(mfile)]
+    out = tmp_path / "out"
+    commands = (["make-city", "--units", "4", "--out", str(out)],
+                ["solve", "--scenario", two_point_file, "--iters", "2", "--out", str(out)],
+                ["certify", *common, "--grid", "10", "--tol", "1e-3"],
+                ["influence-map", *common, "--resolution", "4", "--out", str(out)],
+                ["oracle", "simulate", *common, "--reps", "10"])
+    for argv in commands:
+        for seed in ("-1", "1.5", "x"):
+            assert _exit_code([*argv, "--seed", seed]) == 2, (argv[0], seed)
+            captured = capsys.readouterr()
+            assert "--seed" in captured.err and captured.out == ""
+            assert not out.exists()
+
+
 def test_worker_count_follows_affinity_mask(monkeypatch):
     import os
 

@@ -7,8 +7,11 @@ from measurefw import (
     DiscreteMeasure,
     DiscretePoints,
     Problem,
+    Rect,
+    SampleBatch,
     SolveTrace,
     SolverConfig,
+    UniformRect,
     beta,
     certify,
     convex_hull,
@@ -25,7 +28,7 @@ from measurefw import (
 )
 from measurefw.geometry import contains_many, project_many
 from measurefw.response import InfluenceKernel
-from measurefw.solver import _adam_descend
+from measurefw.solver import _ADAM_LR, _adam_descend, _minimize_influence_kernel
 from helpers import CURVE, rand_discrete_eta
 
 SQRT3 = np.sqrt(3.0)
@@ -95,7 +98,7 @@ def test_minimize_influence_contracts():
 
 
 def test_fully_corrective_two_point():
-    cfg = SolverConfig(**FAST, correction_lr=1.0)
+    cfg = SolverConfig(**FAST)
     cfg.correction_steps = 200
     support = np.array([[0.0, 0.0], [1.0, 0.0]])
     p = fully_corrective(support, [0.9, 0.1], TWO_PROBLEM, TWO, cfg)
@@ -273,6 +276,26 @@ def test_certify_two_point_and_three_point():
     assert np.hypot(*(argmin - centroid)) < 0.25
 
 
+def test_certify_and_subproblem_on_sampled_demand():
+    prob = Problem(UniformRect(Rect([0, 0], [2, 1])), budget=1.0)
+    cfg = SolverConfig(**FAST, mc_batch_size=200, seed=4)
+    mu = DiscreteMeasure([[0.5, 0.5], [1.5, 0.5]], [0.5, 0.5])
+    batch = SampleBatch.draw(prob.eta, cfg.mc_batch_size, cfg.seed)
+    # an explicit batch equal to the one certify draws itself gives its result
+    min_h, argmin = certify(mu, prob, 20, cfg)
+    min_b, argmin_b = certify(mu, prob, 20, cfg, eta_or_batch=batch)
+    assert min_b == min_h and np.array_equal(argmin_b, argmin)
+    other = SampleBatch.draw(prob.eta, cfg.mc_batch_size, cfg.seed + 1)
+    assert certify(mu, prob, 20, cfg, eta_or_batch=other)[0] != min_h
+    with pytest.raises(TypeError):  # the batch is keyword only
+        certify(mu, prob, 20, cfg, batch)
+    # the subproblem resolves the same batch from the config
+    kernel = InfluenceKernel.of(mu, batch, prob.curve, prob.norm)
+    x_ref, h_ref = _minimize_influence_kernel(kernel, prob, cfg, np.random.default_rng(0))
+    x_star, h_star = minimize_influence(mu, prob, cfg, np.random.default_rng(0))
+    assert h_star == h_ref <= 0.0 and np.array_equal(x_star, x_ref)
+
+
 def _trajectory(trace):
     """Everything except the wall-clock column."""
     return [(r.k, r.j_value, r.h_star, tuple(r.x_star), r.atoms) for r in trace.rows]
@@ -307,12 +330,20 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_outer_iters=0)
     with pytest.raises(ValueError):
-        SolverConfig(adam_lr=-0.1)
-    with pytest.raises(ValueError):
         SolverConfig(fw_tolerance=-1.0)
-    for name in ("adam_lr", "correction_lr", "fw_tolerance"):
-        with pytest.raises(ValueError, match=name):
-            SolverConfig(**{name: float("nan")})
+    with pytest.raises(ValueError, match="fw_tolerance"):
+        SolverConfig(fw_tolerance=float("nan"))
+    counts = ("max_outer_iters", "inner_restarts", "adam_steps", "correction_steps",
+              "mc_batch_size")
+    for name in counts:
+        for bad in (2.5, 3.0, "3", np.float64(2.0), 0, -1):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1$"):
+                SolverConfig(**{name: bad})
+        assert getattr(SolverConfig(**{name: np.int64(3)}), name) == 3
+    for bad in (-1, 2.5, 1.0, np.int64(-3)):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0$"):
+            SolverConfig(seed=bad)
+    assert SolverConfig(seed=np.uint32(7)).seed == 7
 
 
 # --- successive halving of the Adam lanes -----------------------------------
@@ -330,7 +361,7 @@ def _halving_case(n, seed=0, atoms=5):
 
 def _plain_adam(kernel, domain, starts, config):
     """Every lane for every step through the public projection (no halving)."""
-    lr = config.adam_lr * max(domain.diameter, 1e-12)
+    lr = _ADAM_LR * max(domain.diameter, 1e-12)
     x, m, v = starts.copy(), np.zeros_like(starts), np.zeros_like(starts)
     b1, b2 = 0.9, 0.999
     for t in range(1, config.adam_steps + 1):
