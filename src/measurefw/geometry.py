@@ -50,19 +50,22 @@ def as_point(p) -> np.ndarray:
     q = np.asarray(p, dtype=float)
     if q.shape != (2,):
         raise ValueError(f"expected a planar point, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise ValueError("point coordinates must be finite")
     return q
 
 
 def as_points(pts) -> np.ndarray:
-    """Validate and return points as a float array of shape (n, 2)."""
+    """Validate points as a (k, 2) float array (k >= 0); one (2,) point becomes (1, 2).
+
+    Any other shape, flat or transposed, or a non-finite coordinate raises ValueError.
+    """
     arr = np.asarray(pts, dtype=float)
-    if arr.ndim == 1 and arr.shape == (2,):
-        arr = arr.reshape(1, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected an (n, 2) array of points, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+        if arr.shape != (2,):
+            raise ValueError(f"expected an (n, 2) array of points, got shape {arr.shape}")
+        arr = arr.reshape(1, 2)
+    if not np.isfinite(arr).all():
         raise ValueError("point coordinates must be finite")
     return arr
 

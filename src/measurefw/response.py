@@ -31,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .geometry import L2, _distances_into, norm_key, pairwise_distance
+from .geometry import L2, _distances_into, as_points, norm_key, pairwise_distance
 from .measure import DiscreteMeasure, check_budget
 from .scenario import (
     DeathCurve,
@@ -92,14 +92,15 @@ class SampleBatch:
 
     The batch is drawn once per solver run (common random numbers across
     iterations), which makes the sampled objective an exact discrete
-    objective in its own right.
+    objective in its own right.  Points are a nonempty (n, 2) array of
+    finite coordinates, or one (2,) point.
     """
 
     __slots__ = ("points", "seed")
 
     def __init__(self, points, seed: int):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+        pts = as_points(points)
+        if len(pts) == 0:
             raise ValueError("batch must be a nonempty (n, 2) array of points")
         self.points = np.ascontiguousarray(pts)
         self.points.setflags(write=False)
@@ -143,7 +144,7 @@ def _sorted_support(demand_points, atoms, curve, norm):
     dist = pairwise_distance(demand_points, atoms, norm)
     order = np.argsort(dist, axis=1, kind="stable")
     d = np.take_along_axis(dist, order, axis=1)
-    bd = beta(curve, d)
+    bd = _beta_values(curve, d)
     dbeta = np.concatenate([bd[:, 1:], np.ones((len(d), 1))], axis=1) - bd
     return order, d, bd, dbeta
 
@@ -177,9 +178,9 @@ class InfluenceKernel:
     """
 
     def __init__(self, atoms, weights, demand_points, demand_probs, curve, norm, budget=None):
-        self.atoms = np.asarray(atoms, dtype=float)
+        self.atoms = as_points(atoms)
         w = np.asarray(weights, dtype=float)
-        self.demand = np.asarray(demand_points, dtype=float)
+        self.demand = as_points(demand_points)
         self.probs = np.asarray(demand_probs, dtype=float)
         self.curve = curve
         self.norm = norm_key(norm)
@@ -285,7 +286,7 @@ class InfluenceKernel:
         return np.take(self._cum_flat, self._segments(radii))
 
     def influence(self, xs) -> np.ndarray:
-        """Influence values at query points xs (k, 2); returns (k,).
+        """Influence values at query points xs (k, 2) or one (2,) point; returns (k,).
 
         A sweep of at least `2 * _CHUNK_ELEMS` (demand x query) entries
         splits its blocks into contiguous runs, one per worker, for up to
@@ -293,7 +294,7 @@ class InfluenceKernel:
         Every block is computed by the same operations either way, so the
         values do not depend on the worker count.
         """
-        xs = _query_points(xs)
+        xs = as_points(xs)
         out = np.empty(len(xs))
         blocks = -(-len(xs) // self.block)
         workers = 1
@@ -329,7 +330,7 @@ class InfluenceKernel:
             out[lo : lo + len(q)] = self.h_const - self.budget * (self.probs @ t)
 
     def influence_gradient(self, xs, *, on_singular="raise") -> np.ndarray:
-        """Gradient of the influence function at xs (k, 2); Euclidean norm only.
+        """Influence gradient at xs (k, 2) or one (2,) point; returns (k, 2); L2 norm only.
 
         Runs query-major: each query's row holds its n demand entries
         contiguously, over the same flat tables as the rows-first sweeps.  A
@@ -340,7 +341,7 @@ class InfluenceKernel:
         """
         if self.norm != L2:
             raise ValueError("influence gradient is only available under the L2 norm")
-        xs = _query_points(xs)
+        xs = as_points(xs)
         dx = xs[:, :1] - self._demand_x  # (k, n)
         dy = xs[:, 1:] - self._demand_y
         with np.errstate(over="ignore"):  # only past ~1e154, where beta' / r is 0 anyway
@@ -376,14 +377,6 @@ class InfluenceKernel:
         return grad
 
 
-def _query_points(xs) -> np.ndarray:
-    """Query points as a (k, 2) float array; raises on non-finite coordinates."""
-    xs = np.asarray(xs, dtype=float).reshape(-1, 2)
-    if not np.isfinite(xs).all():
-        raise ValueError("query point coordinates must be finite")
-    return xs
-
-
 def survival_integral(mu: DiscreteMeasure, y, curve: DeathCurve, norm=L2) -> float:
     """int_0^inf exp(-mu(B(y, t))) d(beta)(t), in closed form.
 
@@ -407,19 +400,15 @@ def objective_mc(mu: DiscreteMeasure, batch: SampleBatch, curve: DeathCurve, nor
 
 
 def influence(mu: DiscreteMeasure, x, eta_or_batch, curve: DeathCurve, norm=L2):
-    """Influence function h_mu at x (single point or (k, 2) array)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    vals = InfluenceKernel.of(mu, eta_or_batch, curve, norm).influence(x.reshape(-1, 2))
-    return float(vals[0]) if single else vals
+    """Influence function h_mu at x: a float for one (2,) point, (k,) for a (k, 2) array."""
+    vals = InfluenceKernel.of(mu, eta_or_batch, curve, norm).influence(x)
+    return float(vals[0]) if np.ndim(x) == 1 else vals
 
 
 def influence_gradient(mu: DiscreteMeasure, x, eta_or_batch, curve: DeathCurve):
-    """Gradient of h_mu at x; Euclidean norm; x must avoid demand points."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    grads = InfluenceKernel.of(mu, eta_or_batch, curve, L2).influence_gradient(x.reshape(-1, 2))
-    return grads[0] if single else grads
+    """Gradient of h_mu at x, (2,) at one (2,) point; L2 norm; x must avoid demand points."""
+    grads = InfluenceKernel.of(mu, eta_or_batch, curve, L2).influence_gradient(x)
+    return grads[0] if np.ndim(x) == 1 else grads
 
 
 def directional_derivative(
@@ -440,8 +429,9 @@ def correction_gradient(support, p, problem, eta_or_batch=None) -> np.ndarray:
     """Gradient of J(sum_i p_i b delta_{x_i}) with respect to the simplex weights.
 
     Component i is -b * int eta(dy) int_{d(x_i, y)}^inf e^{-mass(t)} d(beta)(t).
+    A sampled problem needs `eta_or_batch`: there is no config to draw a batch from.
     """
-    support = np.asarray(support, dtype=float).reshape(-1, 2)
+    support = as_points(support)
     p = np.asarray(p, dtype=float).reshape(-1)
     if len(support) == 0:
         raise ValueError("support must be nonempty")

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import (L1, L2, ConvexPolygon, _project, build_grid, contains_many,
+from .geometry import (L1, L2, ConvexPolygon, _project, as_points, build_grid, contains_many,
                        pairwise_distance, sample_uniform)
 from .measure import MERGE_EPS, DiscreteMeasure, check_budget
 from .response import (InfluenceKernel, SampleBatch, _sorted_support, correction_gradient,
@@ -160,11 +160,9 @@ class _SimplexObjective:
     """
 
     def __init__(self, support, demand_pts, demand_probs, curve, norm, budget):
-        self.support = np.asarray(support, dtype=float)
         self.probs = np.asarray(demand_probs, dtype=float)
         self.b = float(budget)
-        self.order, self.d, bd, self.dbeta = _sorted_support(demand_pts, self.support,
-                                                             curve, norm)
+        self.order, self.d, bd, self.dbeta = _sorted_support(demand_pts, support, curve, norm)
         n, m = self.order.shape
         self.head = float(self.probs @ (bd[:, 0] - beta(curve, 0.0)))
         # flat index of each atom's tail in the (n, m) table of cumulative sums
@@ -226,8 +224,8 @@ def _corrective_step0(budget: float) -> float:
 
 def fully_corrective(support, p_init, problem: Problem, eta_or_batch, config: SolverConfig):
     """Reoptimize simplex weights over a fixed support; never increases J."""
-    support = np.asarray(support, dtype=float).reshape(-1, 2)
-    demand = demand_of(eta_or_batch if eta_or_batch is not None else problem.eta)
+    support = as_points(support)
+    demand = demand_of(_resolve_demand(problem, config) if eta_or_batch is None else eta_or_batch)
     obj = _SimplexObjective(support, *demand, problem.curve, problem.norm, problem.budget)
     p, _ = _pgd_simplex(obj, p_init, config.correction_steps, _corrective_step0(problem.budget))
     return p
@@ -237,7 +235,8 @@ def kkt_residual(support, p, problem: Problem, eta_or_batch=None, active_tol=1e-
     """Stationarity residual of weights on the simplex.
 
     At an optimum the gradient is constant over the active coordinates; the
-    residual is the largest deviation from that common value.
+    residual is the largest deviation from that common value.  Like
+    `correction_gradient`, it needs `eta_or_batch` for a sampled problem.
     """
     g = correction_gradient(support, p, problem, eta_or_batch)
     active = np.asarray(p) > active_tol

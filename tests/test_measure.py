@@ -48,6 +48,8 @@ def test_ball_mass_examples():
     assert ball_mass(mu1, [0, 0], 2.0, "l1") == pytest.approx(0.5)
     with pytest.raises(ValueError):
         ball_mass(mu, [0, 0], -0.1)
+    with pytest.raises(ValueError, match="finite"):
+        ball_mass(mu, [np.nan, 0], 1.0)
 
 
 def test_ball_mass_monotone_and_saturates():

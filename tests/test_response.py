@@ -235,6 +235,40 @@ def test_nonfinite_queries_raise():
             kernel.influence(xs)
         with pytest.raises(ValueError, match="finite"):
             kernel.influence_gradient(xs)
+        with pytest.raises(ValueError, match="finite"):
+            kernel.influence(xs[1])
+        with pytest.raises(ValueError, match="finite"):
+            kernel.influence_gradient(xs[1])
+        # a non-finite atom or demand point is rejected when the kernel is built
+        with pytest.raises(ValueError, match="finite"):
+            InfluenceKernel(xs, [0.5, 0.5], TRI.points, TRI.probs, CURVE, "l2")
+        with pytest.raises(ValueError, match="finite"):
+            InfluenceKernel(TRI_UNIFORM.points, TRI_UNIFORM.weights, xs, [0.5, 0.5], CURVE, "l2")
+        with pytest.raises(ValueError, match="finite"):
+            SampleBatch(xs, seed=0)
+    # a flat pair of points or a transposed (2, 3) array is not (k, 2): it
+    # raises instead of being read as other points
+    for bad in ([0.2, 0.3, 0.4, 0.1], np.array([[0.2, 0.3], [0.4, 0.1], [0.5, 0.5]]).T, []):
+        with pytest.raises(ValueError, match="array of points"):
+            kernel.influence(bad)
+        with pytest.raises(ValueError, match="array of points"):
+            kernel.influence_gradient(bad)
+    with pytest.raises(ValueError, match="array of points"):
+        influence(TRI_UNIFORM, [0.2, 0.3, 0.4, 0.1], TRI, CURVE)
+    with pytest.raises(ValueError, match="array of points"):
+        influence_gradient(TRI_UNIFORM, [0.2, 0.3, 0.4, 0.1], TRI, CURVE)
+
+
+def test_single_point_queries_keep_their_shape():
+    x = np.array([0.2, 0.3])
+    h = influence(TRI_UNIFORM, x, TRI, CURVE)
+    assert isinstance(h, float)
+    assert h == influence(TRI_UNIFORM, x[None], TRI, CURVE)[0]
+    g = influence_gradient(TRI_UNIFORM, x, TRI, CURVE)
+    assert g.shape == (2,)
+    assert np.array_equal(g, influence_gradient(TRI_UNIFORM, [x], TRI, CURVE)[0])
+    # an empty (0, 2) query set is still a valid query
+    assert influence(TRI_UNIFORM, np.empty((0, 2)), TRI, CURVE).shape == (0,)
 
 
 def test_influence_gradient_mask_zeroes_coincident_demand():
@@ -507,6 +541,9 @@ def test_correction_gradient():
             assert g[i] == pytest.approx(fd, abs=1e-5)
     with pytest.raises(ValueError, match="simplex"):
         correction_gradient([[0, 0], [1, 1]], [0.7, 0.6], prob)
+    # a flat support [x0, y0, x1, y1] is not read as two points
+    with pytest.raises(ValueError, match="array of points"):
+        correction_gradient([0.0, 0.0, 1.0, 1.0], [0.5, 0.5], prob)
 
 
 def test_simulate_objective_matches_closed_form():

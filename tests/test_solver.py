@@ -106,6 +106,19 @@ def test_fully_corrective_two_point():
     assert kkt_residual(support, p, TWO_PROBLEM, TWO) < 1e-6
     # single support point has a single feasible weight vector
     assert np.allclose(fully_corrective(support[:1], [1.0], TWO_PROBLEM, TWO, cfg), [1.0])
+    # a flat support [x0, y0, x1, y1] is not read as two points
+    with pytest.raises(ValueError, match="array of points"):
+        fully_corrective(support.reshape(-1), [0.9, 0.1], TWO_PROBLEM, TWO, cfg)
+
+
+def test_fully_corrective_draws_the_solvers_batch_for_sampled_demand():
+    eta = UniformRect(Rect([0, 0], [1, 1]))
+    prob = Problem(eta, budget=2.0)
+    cfg = SolverConfig(**FAST)
+    support = np.array([[0.2, 0.2], [0.8, 0.3], [0.5, 0.9]])
+    p = fully_corrective(support, [0.6, 0.3, 0.1], prob, None, cfg)
+    batch = SampleBatch.draw(eta, cfg.mc_batch_size, cfg.seed)
+    assert np.array_equal(p, fully_corrective(support, [0.6, 0.3, 0.1], prob, batch, cfg))
 
 
 def test_fully_corrective_monotone():
