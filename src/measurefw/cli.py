@@ -138,15 +138,18 @@ def cmd_influence_map(args) -> int:
     h = np.full(len(pts), np.nan)
     if inside.any():
         h[inside] = _grid_h_values(kernel, pts[inside])
-    # str(float) is repr(float), so every value round-trips exactly; 4,096
-    # cells at a time keep few Python floats alive at once
+    # repr(float) round-trips exactly.  The lattice is x-major (x_i repeats
+    # for `res` cells while y cycles), so each distinct coordinate is
+    # formatted once; converting one row at a time keeps few Python floats
+    # alive at once.
+    res = args.resolution
+    xs = [f"{x!r}," for x in pts[::res, 0].tolist()]
+    ys = [f"{y!r}," for y in pts[:res, 1].tolist()]
     parts = ["x,y,h\n"]
-    for lo in range(0, len(pts), 4096):
-        rows = slice(lo, lo + 4096)
-        cells = h[rows].astype(object)
-        cells[~inside[rows]] = ""
-        parts.append("".join(map("{},{},{}\n".format, pts[rows, 0].tolist(),
-                                 pts[rows, 1].tolist(), cells.tolist())))
+    for i, x in enumerate(xs):
+        row = slice(i * res, (i + 1) * res)
+        parts.append("".join([f"{x}{y}{v!r}\n" if ok else f"{x}{y}\n" for y, v, ok
+                              in zip(ys, h[row].tolist(), inside[row].tolist())]))
     _write_atomic(Path(args.out), "".join(parts))
     print(f"wrote {args.out} ({int(inside.sum())} in-domain cells of {len(pts)})")
     return EXIT_OK

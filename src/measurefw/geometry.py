@@ -85,10 +85,12 @@ def pairwise_distance(a, b, norm=L2) -> np.ndarray:
 
     Returns an (n, m) array.  L2 distances are sqrt(dx*dx + dy*dy), within
     1 ulp of `np.hypot` and several times faster; squares overflow to inf
-    only past coordinate differences of ~1e154.
+    only past coordinate differences of ~1e154.  Both arguments are checked
+    by `as_points`: any other shape or a non-finite coordinate raises
+    ValueError.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = as_points(a)
+    b = as_points(b)
     shape = (len(a), len(b))
     return _distances_into(a, b, norm, np.empty(shape), np.empty(shape))
 

@@ -134,7 +134,7 @@ def ball_mass(mu: DiscreteMeasure, center, radius: float, norm="l2") -> float:
     """Mass of the closed ball of the given radius around `center`."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    d = pairwise_distance(as_point(center).reshape(1, 2), mu.points, norm)[0]
+    d = pairwise_distance(as_point(center), mu.points, norm)[0]
     return float(mu.weights[d <= radius].sum())
 
 

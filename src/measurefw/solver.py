@@ -510,7 +510,14 @@ def certify(mu: DiscreteMeasure, problem: Problem, grid_resolution: int,
 
 
 def lattice_points(domain: ConvexPolygon, resolution: int, inside_only: bool = False):
-    """Regular resolution x resolution lattice over the domain bounding box."""
+    """Regular resolution x resolution lattice over the domain bounding box.
+
+    Points are x-major: point i * resolution + j is (x_i, y_j), so the x index
+    changes slowest and `pts.reshape(resolution, resolution, 2)` is indexed
+    [x index, y index]; `influence-map` writes its rows in this order.  A
+    resolution of 1 gives the box centre.  `inside_only` keeps the points in
+    the domain, in the same order.
+    """
     box = domain.bounding_box()
     if resolution == 1:
         axes = (np.array([(box.lo[0] + box.hi[0]) / 2.0]),

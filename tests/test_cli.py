@@ -157,25 +157,57 @@ def test_influence_map_marks_out_of_domain_cells(three_point_file, tmp_path):
     assert 0 < n_empty < len(lines)
 
 
-def test_influence_map_csv_matches_per_cell_repr(three_point_file, tmp_path):
-    # 4,900 cells: more than one formatting chunk, on both sides of the domain edge
+def _eta_scenario(points):
+    return {"budget": 1.0, "norm": "l2", "eta": {
+        "type": "discrete", "points": points, "probs": [1 / len(points)] * len(points)}}
+
+
+def _per_cell_csv(problem, mu, resolution) -> bytes:
+    """The influence map formatted cell by cell, as the CLI's reference."""
+    pts = lattice_points(problem.domain, resolution)
+    inside = contains_many(problem.domain, pts)
+    kernel = InfluenceKernel.of(mu, problem.eta, problem.curve, problem.norm)
+    vals = iter(kernel.influence(pts[inside]))
+    lines = ["x,y,h"]
+    for (x, y), ok in zip(pts, inside):
+        cell = f"{float(x)!r},{float(y)!r},"
+        lines.append(cell + repr(float(next(vals))) if ok else cell)
+    return ("\n".join(lines) + "\n").encode()
+
+
+MAP_CASES = {
+    # the triangle's bounding box has corners outside the hull; 70 x 70 cells
+    # lie on both sides of the domain edge
+    "tri-1": (THREE_POINT["eta"]["points"], 1),
+    "tri-2": (THREE_POINT["eta"]["points"], 2),
+    "tri-3": (THREE_POINT["eta"]["points"], 3),
+    "tri-70": (THREE_POINT["eta"]["points"], 70),
+    # a segment: the box has zero height, so every y string is equal
+    "segment": (TWO_POINT["eta"]["points"], 5),
+    "one-point": ([[0.3, 0.7]], 3),
+    # the domain meets the x = 1 column only at y = 0.4, between lattice rows
+    "whole-row-outside": ([[0, 0], [1, 0.4], [0, 1]], 5),
+}
+
+
+@pytest.mark.parametrize("case", MAP_CASES)
+def test_influence_map_csv_matches_per_cell_repr(case, tmp_path):
+    points, resolution = MAP_CASES[case]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(_eta_scenario(points)))
     mu = DiscreteMeasure([[0.1, 0.1], [0.8, 0.2], [0.5, 0.6]], [0.2, 0.3, 0.5], 1.0)
     mfile = tmp_path / "mu.json"
     _write_measure(mfile, mu)
     out = tmp_path / "map.csv"
-    rc = main(["influence-map", "--scenario", three_point_file, "--measure", str(mfile),
-               "--resolution", "70", "--out", str(out)])
+    rc = main(["influence-map", "--scenario", str(scenario), "--measure", str(mfile),
+               "--resolution", str(resolution), "--out", str(out)])
     assert rc == 0
-    problem = load_scenario(three_point_file)
-    pts = lattice_points(problem.domain, 70)
-    inside = contains_many(problem.domain, pts)
-    assert 0 < inside.sum() < len(pts)
-    h = InfluenceKernel.of(mu, problem.eta, CURVE, "l2").influence(pts[inside])
-    lines, vals = ["x,y,h"], iter(h)
-    for (x, y), ok in zip(pts, inside):
-        cell = f"{float(x)!r},{float(y)!r},"
-        lines.append(cell + repr(float(next(vals))) if ok else cell)
-    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    problem = load_scenario(str(scenario))
+    if case == "whole-row-outside":
+        inside = contains_many(problem.domain, lattice_points(problem.domain, resolution))
+        rows_hit = inside.reshape(resolution, resolution).any(axis=1)
+        assert rows_hit.any() and not rows_hit.all()
+    assert out.read_bytes() == _per_cell_csv(problem, mu, resolution)
 
 
 def test_invalid_numeric_arguments_exit_2(two_point_file, tmp_path, capsys):
@@ -210,7 +242,10 @@ def test_influence_map_single_cell(two_point_file, tmp_path):
     rc = main(["influence-map", "--scenario", two_point_file, "--measure", str(mfile),
                "--resolution", "1", "--out", str(out)])
     assert rc == 0
-    assert len(out.read_text().strip().splitlines()) == 2
+    # the one cell is the centre of the segment's box
+    h = InfluenceKernel.of(mu, load_scenario(two_point_file).eta, CURVE, "l2").influence(
+        [[0.5, 0.0]])
+    assert out.read_bytes() == f"x,y,h\n0.5,0.0,{float(h[0])!r}\n".encode()
 
 
 def test_influence_map_thread_count_invariance(tmp_path, monkeypatch):

@@ -119,6 +119,20 @@ def test_l2_pairwise_distance_within_one_ulp_of_hypot():
         assert np.all(np.abs(got - want) <= np.spacing(want))
 
 
+def test_pairwise_distance_validates_points():
+    with pytest.raises(ValueError, match="shape"):
+        pairwise_distance([[0, 1, 2], [0, 0, 0]], [[0, 0]])  # transposed (2, 3)
+    with pytest.raises(ValueError, match="shape"):
+        pairwise_distance([[0, 0]], [[0, 1, 2], [0, 0, 0]])
+    for norm in ("l1", "l2"):
+        with pytest.raises(ValueError, match="finite"):
+            pairwise_distance([[0, np.nan]], [[0, 0]], norm)
+        with pytest.raises(ValueError, match="finite"):
+            pairwise_distance([[0, 0]], [[np.inf, 0]], norm)
+        assert pairwise_distance(np.empty((0, 2)), [[0, 0], [1, 1]], norm).shape == (0, 2)
+        assert pairwise_distance([[0, 0], [1, 1]], np.empty((0, 2)), norm).shape == (2, 0)
+
+
 def test_sample_uniform_containment_and_mean():
     rng = np.random.default_rng(2)
     pts = sample_uniform(UNIT_SQUARE, rng, size=100_000)

@@ -28,7 +28,12 @@ from measurefw import (
 )
 from measurefw.geometry import contains_many, project_many
 from measurefw.response import InfluenceKernel
-from measurefw.solver import _ADAM_LR, _adam_descend, _minimize_influence_kernel
+from measurefw.solver import (
+    _ADAM_LR,
+    _adam_descend,
+    _minimize_influence_kernel,
+    lattice_points,
+)
 from helpers import CURVE, rand_discrete_eta
 
 SQRT3 = np.sqrt(3.0)
@@ -273,6 +278,22 @@ def test_fcfw_dominates_dfw_eventually():
     _, tr_d = dfw_solve(TWO_PROBLEM, cfg)
     j_fc, j_d = tr_fc.j_values(), tr_d.j_values()
     assert np.all(j_fc[5:] <= j_d[5:] + 1e-12)
+
+
+@pytest.mark.parametrize("res", [1, 2, 5])
+def test_lattice_points_are_x_major(res):
+    # the influence-map writer formats one x per row of `res` cells
+    domain = TRI_PROBLEM.domain
+    pts = lattice_points(domain, res)
+    grid = pts.reshape(res, res, 2)
+    assert np.all(grid[:, :, 0] == grid[:, :1, 0])  # x constant along axis 1
+    assert np.all(grid[:, :, 1] == grid[:1, :, 1])  # y constant along axis 0
+    assert np.all(np.diff(grid[:, 0, 0]) > 0) and np.all(np.diff(grid[0, :, 1]) > 0)
+    box = domain.bounding_box()
+    assert grid[-1, 0, 0] == (box.hi[0] if res > 1 else 0.5)  # x spans [0, 1]
+    assert grid[0, -1, 1] == (box.hi[1] if res > 1 else SQRT3 / 4)  # y spans [0, sqrt(3)/2]
+    inside = lattice_points(domain, res, inside_only=True)
+    assert np.array_equal(inside, pts[contains_many(domain, pts)])
 
 
 def test_certify_two_point_and_three_point():
