@@ -241,7 +241,7 @@ class ConvexPolygon:
     `ConvexPolygon(vertices)` is idempotent on already-canonical input.
     """
 
-    __slots__ = ("vertices", "_area", "_diameter", "_edges", "_edge_len", "_edge_sq")
+    __slots__ = ("vertices", "_area", "_diameter", "_edges", "_edge_sq", "_half_planes")
 
     def __init__(self, vertices):
         pts = as_points(vertices)
@@ -260,8 +260,11 @@ class ConvexPolygon:
         # edge i runs from vertex i to vertex i + 1 (cyclically)
         e = np.roll(v, -1, axis=0) - v
         self._edges = e
-        self._edge_len = np.hypot(e[:, 0], e[:, 1])
         self._edge_sq = np.einsum("ed,ed->e", e, e)
+        # (E, 1) columns of edge x, edge y, start x, start y and edge length,
+        # which broadcast against a row of query coordinates in `_contains`
+        self._half_planes = tuple(c[:, None] for c in (
+            e[:, 0], e[:, 1], v[:, 0], v[:, 1], np.hypot(e[:, 0], e[:, 1])))
 
     @property
     def n_vertices(self) -> int:
@@ -307,11 +310,16 @@ def _contains(poly: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
         t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
         feet = a + t[:, None] * ab
         return np.hypot(*(pts - feet).T) <= atol
-    e = poly._edges
-    # signed perpendicular distance of each point from each CCW edge
-    cross = (e[:, 0][:, None] * (pts[:, 1][None, :] - v[:, 1][:, None])
-             - e[:, 1][:, None] * (pts[:, 0][None, :] - v[:, 0][:, None]))
-    return np.all(cross / poly._edge_len[:, None] >= -atol, axis=0)
+    ex, ey, vx, vy, edge_len = poly._half_planes
+    # signed perpendicular distance of each point from each CCW edge:
+    # (ex (py - vy) - ey (px - vx)) / |e|, one in-place pass per operation
+    cross = np.subtract(pts[:, 1], vy)
+    cross *= ex
+    rhs = np.subtract(pts[:, 0], vx)
+    rhs *= ey
+    cross -= rhs
+    cross /= edge_len
+    return np.logical_and.reduce(cross >= -atol, axis=0)
 
 
 def contains(poly: ConvexPolygon, p) -> bool:
@@ -330,7 +338,7 @@ def _project(poly: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
     if len(v) == 1:
         return np.broadcast_to(v[0], pts.shape).copy()
     inside = _contains(poly, pts)
-    if np.all(inside):
+    if inside.all():
         return pts
     out = pts[~inside]
     a, e, denom = v, poly._edges, poly._edge_sq

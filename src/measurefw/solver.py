@@ -138,11 +138,16 @@ def simplex_project(v) -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.size == 0:
         raise ValueError("empty vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u - css / np.arange(1, v.size + 1) > 0)[0][-1]
+    # ndarray methods, not numpy's wrapper functions: the corrective calls
+    # this once per trial step, thousands of times a solve
+    u = v.copy()
+    u.sort()
+    u = u[::-1]
+    css = u.cumsum()
+    css -= 1.0
+    rho = (u - css / np.arange(1, v.size + 1) > 0).nonzero()[0][-1]
     theta = css[rho] / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 
@@ -156,7 +161,11 @@ class _SimplexObjective:
     point's segment terms are computed once: the last point evaluated is kept
     (as a copy, compared by value) with its terms and J, so `value_and_grad`
     at the point `value` just accepted only adds the suffix sums and the
-    gradient.
+    gradient.  Those passes run in place in three (n_demand, n_support)
+    buffers allocated once: the segment terms of the last point, the
+    sorted weights (then the suffix sums) and the per-atom tails.  Only J and
+    a freshly allocated gradient leave the object, so a later evaluation
+    that overwrites the buffers changes nothing a caller holds.
     """
 
     def __init__(self, support, demand_pts, demand_probs, curve, norm, budget):
@@ -173,23 +182,29 @@ class _SimplexObjective:
         self._tail_index = np.empty_like(self.order)
         np.put_along_axis(self._tail_index, self.order,
                           np.arange(m - 1, -1, -1) + np.arange(0, n * m, m)[:, None], axis=1)
-        self._last = (None, None, None)  # (p, segment terms, J)
+        self._seg, self._w, self._tails = np.empty((3, n, m))
+        self._last = (None, None)  # (p, J); `_seg` holds p's segment terms
 
     def _evaluate(self, p):
-        last_p, seg, j = self._last
-        if last_p is None or not np.array_equal(p, last_p):
-            w = (np.maximum(p, 0.0) * self.b)[self.order]
-            seg = np.exp(-np.cumsum(w, axis=1)) * self.dbeta
-            j = self.head + float(self.probs @ np.sum(seg, axis=1))
-            self._last = (np.array(p, dtype=float), seg, j)
-        return seg, j
+        last_p, j = self._last
+        if last_p is None or not (p == last_p).all():
+            seg, w = self._seg, self._w
+            (np.maximum(p, 0.0) * self.b).take(self.order, out=w, mode="clip")
+            w.cumsum(axis=1, out=seg)
+            np.negative(seg, out=seg)
+            np.exp(seg, out=seg)
+            seg *= self.dbeta
+            j = self.head + float(self.probs @ seg.sum(axis=1))
+            self._last = (np.array(p, dtype=float), j)
+        return j
 
     def value(self, p) -> float:
-        return self._evaluate(p)[1]
+        return self._evaluate(p)
 
     def value_and_grad(self, p):
-        seg, j = self._evaluate(p)
-        t_atoms = np.take(np.cumsum(seg[:, ::-1], axis=1), self._tail_index)
+        j = self._evaluate(p)
+        suffix = self._seg[:, ::-1].cumsum(axis=1, out=self._w)
+        t_atoms = suffix.take(self._tail_index, out=self._tails, mode="clip")
         grad = -self.b * (self.probs @ t_atoms)
         return j, grad
 

@@ -7,6 +7,7 @@ from measurefw.geometry import (
     Rect,
     build_grid,
     contains,
+    contains_many,
     convex_hull,
     distance,
     pairwise_distance,
@@ -182,6 +183,79 @@ def test_project_many_matches_scalar():
     batch = project_many(poly, pts)
     single = np.array([project(poly, p) for p in pts])
     assert np.allclose(batch, single, atol=1e-12)
+
+
+def _broadcast_contains(poly, pts):
+    """`contains_many` as one broadcast expression per domain kind (the reference)."""
+    v = poly.vertices
+    atol = 1e-9 * (1.0 + poly.diameter)
+    if len(v) == 1:
+        return np.max(np.abs(pts - v[0]), axis=1) <= atol
+    if len(v) == 2:
+        ab = v[1] - v[0]
+        t = np.clip((pts - v[0]) @ ab / float(ab @ ab), 0.0, 1.0)
+        return np.hypot(*(pts - (v[0] + t[:, None] * ab)).T) <= atol
+    e = np.roll(v, -1, axis=0) - v
+    cross = (e[:, 0][:, None] * (pts[:, 1][None, :] - v[:, 1][:, None])
+             - e[:, 1][:, None] * (pts[:, 0][None, :] - v[:, 0][:, None]))
+    return np.all(cross / np.hypot(e[:, 0], e[:, 1])[:, None] >= -atol, axis=0)
+
+
+def _broadcast_project(poly, pts):
+    """`project_many` over `_broadcast_contains` (the reference)."""
+    v, pts = poly.vertices, pts.copy()
+    if len(v) == 1:
+        return np.broadcast_to(v[0], pts.shape).copy()
+    inside = _broadcast_contains(poly, pts)
+    if np.all(inside):
+        return pts
+    out = pts[~inside]
+    e = np.roll(v, -1, axis=0) - v
+    a, denom = v, np.einsum("ed,ed->e", e, e)
+    if len(v) == 2:
+        a, e, denom = a[:1], e[:1], denom[:1]
+    t = np.clip(np.einsum("ked,ed->ke", out[:, None, :] - a[None, :, :], e) / denom, 0.0, 1.0)
+    feet = a[None, :, :] + t[:, :, None] * e[None, :, :]
+    best = np.argmin(np.sum((feet - out[:, None, :]) ** 2, axis=2), axis=1)
+    pts[~inside] = feet[np.arange(len(out)), best]
+    return pts
+
+
+def _regular_polygon(k, radius, centre):
+    angles = 2 * np.pi * np.arange(k) / k + 0.3
+    return convex_hull(np.column_stack([np.cos(angles), np.sin(angles)]) * radius + centre)
+
+
+@pytest.mark.parametrize("poly", [
+    TRIANGLE,
+    _regular_polygon(7, 50.0, [3.0, -2.0]),  # edges ~43 long
+    _regular_polygon(5, 0.01, [0.2, 0.1]),  # edges ~0.012 long
+    convex_hull([[0.0, 0.0], [3.0, 4.0]]),
+    convex_hull([[0.5, -1.5]]),
+], ids=["triangle", "heptagon-large", "pentagon-small", "segment", "point"])
+def test_contains_and_project_match_broadcast_reference(poly):
+    # vertices, points along each edge, and the same points moved off the
+    # edge along its outward normal by multiples of the tolerance: edges far
+    # from unit length make a distance not divided by the edge length land
+    # on the other side of the tolerance
+    rng = np.random.default_rng(21)
+    v = poly.vertices
+    atol = 1e-9 * (1.0 + poly.diameter)
+    e = np.roll(v, -1, axis=0) - v
+    length = np.maximum(np.hypot(e[:, 0], e[:, 1]), 1e-300)
+    normal = np.column_stack([e[:, 1], -e[:, 0]]) / length[:, None]
+    t = np.array([0.0, 0.25, 0.5, 1 / 3, 0.999])
+    on_edges = (v[:, None, :] + t[None, :, None] * e[:, None, :]).reshape(-1, 2)
+    offsets = np.array([-2.0, -1.0, -0.5, 0.5, 0.99, 1.0, 1.01, 2.0, 40.0]) * atol
+    near = (on_edges.reshape(len(v), len(t), 1, 2)
+            + offsets[None, None, :, None] * normal[:, None, None, :]).reshape(-1, 2)
+    box = poly.bounding_box()
+    spread = rng.uniform(box.lo - 1.0, box.hi + 1.0, size=(200, 2))
+    pts = np.vstack([v, on_edges, near, spread])
+    got = contains_many(poly, pts)
+    assert got.tobytes() == _broadcast_contains(poly, pts).tobytes()
+    assert got.any() and not got.all()
+    assert project_many(poly, pts).tobytes() == _broadcast_project(poly, pts).tobytes()
 
 
 def test_build_grid_thins_axes_evenly_keeping_extremes():

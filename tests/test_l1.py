@@ -335,6 +335,37 @@ def test_simplex_objective_memo_matches_fresh_objective(make):
     assert j == j_ref and np.array_equal(grad, grad_ref)
 
 
+def _fresh_arrays_value_and_grad(obj, p):
+    """J and its gradient by the objective's expressions in fresh arrays (the reference)."""
+    w = (np.maximum(p, 0.0) * obj.b)[obj.order]
+    seg = np.exp(-np.cumsum(w, axis=1)) * obj.dbeta
+    j = obj.head + float(obj.probs @ np.sum(seg, axis=1))
+    t_atoms = np.take(np.cumsum(seg[:, ::-1], axis=1), obj._tail_index)
+    return j, -obj.b * (obj.probs @ t_atoms)
+
+
+@pytest.mark.parametrize("make", [_tied_l1_objective_args, _l2_objective_args])
+def test_simplex_objective_buffers_match_fresh_arrays(make):
+    rng, args = make(7)
+    obj = _SimplexObjective(*args)
+    points = [_random_simplex_point(rng, len(args[0])) for _ in range(6)]  # with zeros
+    returned = []
+    for p in points:
+        j_ref, grad_ref = _fresh_arrays_value_and_grad(obj, p)
+        assert obj.value(p) == j_ref
+        j, grad = obj.value_and_grad(p)
+        assert j == j_ref and grad.tobytes() == grad_ref.tobytes()
+        returned.append((grad, grad_ref))
+    # later evaluations overwrote the buffers, not the gradients handed out
+    assert all(grad.tobytes() == grad_ref.tobytes() for grad, grad_ref in returned)
+    p1, p2 = points[:2]
+    obj.value(p1)
+    obj.value(p2)
+    j, grad = obj.value_and_grad(p1)
+    j_ref, grad_ref = _fresh_arrays_value_and_grad(obj, p1)
+    assert j == j_ref and grad.tobytes() == grad_ref.tobytes()
+
+
 class _FreshObjective:
     """Builds a new objective for every call, so no evaluation is reused."""
 

@@ -446,6 +446,49 @@ def test_query_major_search_is_the_transposed_segment_search(m):
     assert np.array_equal(got, rows_first.T)
 
 
+# each atom count sits at or just below a table width P (2, 4, 8, 16, 16, 64),
+# so a row's NaN padding is one column wide or many
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 15, 63])
+def test_counted_segments_are_the_search_index(m):
+    # the small-call gradient counts the distances at or below each radius in
+    # its row of `_dist_rows`; that count must be the binary search's index
+    # for radii tied with atom distances, 0, past the last atom and inf
+    rng = np.random.default_rng(300 + m)
+    n = 5
+    demand = rng.integers(-3, 4, size=(n, 2)).astype(float)
+    atoms = rng.integers(-3, 4, size=(m, 2)).astype(float)
+    kernel = InfluenceKernel(atoms, rng.random(m) + 0.1, demand, np.full(n, 1 / n), CURVE, "l2")
+    d = pairwise_distance(demand, atoms, "l2")
+    radii = np.hstack([d, np.zeros((n, 1)), d.max(axis=1, keepdims=True) + 1.0,
+                       np.full((n, 1), np.inf), rng.uniform(0.0, 8.0, size=(n, 8))])
+    q = np.ascontiguousarray(radii.T)  # query-major, as in the gradient
+    counted = (kernel._dist_rows <= q[..., None]).sum(axis=-1, dtype=np.intp)
+    counted += kernel._row_start
+    idx = np.empty(q.shape, dtype=np.intp)
+    idx[...] = kernel._row_start
+    searched = kernel._search(q, idx, np.empty(q.shape), np.empty(q.shape, dtype=bool))
+    assert np.array_equal(counted, searched)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 15, 63])
+def test_counted_and_searched_gradients_are_bit_equal(m, monkeypatch):
+    # queries on atoms tie their distances exactly, one sits on a demand
+    # point (masked), one lies past every atom and one's distances overflow
+    # to inf; the weights are positive, so a wrong segment changes the bits
+    rng = np.random.default_rng(400 + m)
+    n = 4
+    demand = rng.integers(-3, 4, size=(n, 2)).astype(float)
+    atoms = rng.integers(-3, 4, size=(m, 2)).astype(float)
+    kernel = InfluenceKernel(atoms, rng.random(m) + 0.1, demand, np.full(n, 1 / n), CURVE, "l2")
+    xs = np.vstack([atoms[:4], demand[:1], [[40.0, -40.0], [1e200, 0.0]],
+                    rng.uniform(-4.0, 4.0, size=(5, 2))])
+    grads = []
+    for count_max in (0, 10**9):  # every call searched, every call counted
+        monkeypatch.setattr(response, "_COUNT_MAX", count_max)
+        grads.append(kernel.influence_gradient(xs, on_singular="mask"))
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
 def _rows_first_gradient(kernel, xs):
     """The gradient as one (demand x query) pass, singular entries masked."""
     dx = xs[:, 0] - kernel.demand[:, 0][:, None]

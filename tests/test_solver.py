@@ -27,6 +27,7 @@ from measurefw import (
     two_point_optimum,
 )
 from measurefw.geometry import contains_many, project_many
+from measurefw import response
 from measurefw.response import InfluenceKernel
 from measurefw.solver import (
     _ADAM_LR,
@@ -81,6 +82,28 @@ def test_simplex_project_properties():
         q = rng.random(n)
         q = q / q.sum()
         assert np.sum((v - p) ** 2) <= np.sum((v - q) ** 2) + 1e-12
+
+
+def _sort_and_threshold(v):
+    """`simplex_project`'s algorithm through numpy's module functions (the reference)."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u - css / np.arange(1, v.size + 1) > 0)[0][-1]
+    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+
+
+def test_simplex_project_matches_reference_bits():
+    # halves and repeated entries make many exact ties in the sort
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 3, 7, 40):
+        for _ in range(30):
+            v = np.round(rng.normal(scale=2.0, size=size) * 2.0) / 2.0
+            if size > 2:
+                v[: size // 2] = v[-1]
+            v = rng.permutation(v) if rng.random() < 0.5 else v + rng.normal(size=size)
+            before = v.copy()
+            assert simplex_project(v).tobytes() == _sort_and_threshold(v).tobytes()
+            assert v.tobytes() == before.tobytes()  # the input is not sorted in place
 
 
 def test_minimize_influence_contracts():
@@ -221,6 +244,18 @@ def test_fcfw_sufficient_decrease_and_h_rate():
         for n in range(1, len(hs)):
             run_min = np.min(np.abs(hs[1 : n + 1]))
             assert run_min <= np.sqrt(2 * lips * radius**2 * j1 / b) / np.sqrt(n) + 1e-12
+
+
+def test_fcfw_trace_does_not_depend_on_the_gradient_segment_lookup(monkeypatch):
+    cfg = SolverConfig(max_outer_iters=8, seed=3, **FAST)
+    runs = []
+    for count_max in (0, 10**9):  # every gradient call searched, every one counted
+        monkeypatch.setattr(response, "_COUNT_MAX", count_max)
+        mu, trace = fcfw_solve(TRI_PROBLEM, cfg)
+        x_stars = np.array([r.x_star for r in trace.rows])
+        runs.append([a.tobytes() for a in (mu.points, mu.weights, trace.j_values(),
+                                           trace.h_values(), x_stars)])
+    assert runs[0] == runs[1]
 
 
 def test_fcfw_feasibility_and_budget():
