@@ -200,6 +200,8 @@ def _check_budget_flag(budget: float) -> None:
 
 
 def cmd_make_city(args) -> int:
+    if args.units < 1:
+        raise ScenarioError(f"--units must be at least 1, got {args.units}")
     _check_budget_flag(args.budget)
     doc = make_city(args.units, args.seed, budget=args.budget, norm=args.norm)
     _write_atomic(Path(args.out), json.dumps(doc, indent=2) + "\n")

@@ -17,9 +17,9 @@ import numpy as np
 
 from .geometry import L1, DemandGrid, build_grid
 from .measure import DiscreteMeasure
-from .response import InfluenceKernel
+from .response import InfluenceKernel, _SimplexObjective
 from .scenario import DiscretePoints, Problem, _sample_rect
-from .solver import SolveTrace, SolverConfig, _corrective_step0, _pgd_simplex, _SimplexObjective
+from .solver import SolveTrace, SolverConfig, _pgd_simplex
 
 __all__ = [
     "DemandGrid",
@@ -52,13 +52,12 @@ def l1_solve_on_grid(problem: Problem, config: SolverConfig):
     b = problem.budget
     obj = _SimplexObjective(verts, eta.points, eta.probs, problem.curve, L1, b)
     p = np.full(len(verts), 1.0 / len(verts))
-    step0 = _corrective_step0(b)
     trace = SolveTrace()
     t0 = time.perf_counter()
     j_prev = np.inf
     stalls = 0
     for k in range(config.max_outer_iters):
-        p, j_k = _pgd_simplex(obj, p, config.correction_steps, step0)
+        p, j_k = _pgd_simplex(obj, p, config.correction_steps)
         _, g = obj.value_and_grad(p)
         h_verts = g - p @ g
         i = int(np.argmin(h_verts))

@@ -4,13 +4,15 @@ Everything rests on one observation: for a finite atomic measure, the ball
 mass t -> mu(B(y, t)) seen from a demand point y is a nondecreasing step
 function that jumps at the sorted atom distances.  Integrals against the
 death curve therefore reduce to finite sums over segments with constant
-mass -- no quadrature, exact up to floating point.  `InfluenceKernel` builds
-the segment tables once per measure; each query then finds its segment with
-a branchless binary search over the row's padded sorted distances.  A small
-gradient call (at most `_COUNT_MAX` query x demand x table-width entries, as
-in an Adam step on a few demand points) counts the distances at or below each
-radius in one broadcast comparison instead: the same index, without the
-search's per-step set-up.
+mass -- no quadrature, exact up to floating point.  Both closed forms on
+that sorted support (`_sorted_support`) live here: `InfluenceKernel` and the
+corrective step's `_SimplexObjective`.  `InfluenceKernel` builds the segment
+tables once per measure; each query then finds its segment with a branchless
+binary search over the row's padded sorted distances.  A small gradient call
+(at most `_COUNT_MAX` query x demand x table-width entries, as in an Adam
+step on a few demand points) counts the distances at or below each radius in
+one broadcast comparison instead: the same index, without the search's
+per-step set-up.
 
 Queries run in blocks of at most 65,536 (demand x query) entries, so each
 float64 buffer (512 KB) stays in cache across the distance, search, beta
@@ -161,10 +163,11 @@ def _sorted_support(demand_points, atoms, curve, norm):
 class InfluenceKernel:
     """Closed-form evaluator for one measure against fixed demand points.
 
-    The constructor sorts each demand point's atom distances and lays the
-    per-segment quantities out in row-padded flat tables of width P, the
-    smallest power of two above the atom count m.  Row i, column k describes
-    the segment entered once k atoms lie in the closed ball:
+    `weights` and `demand_probs` hold one finite, nonnegative value per atom and
+    per demand point.  The constructor sorts each demand point's atom distances
+    and lays the per-segment quantities out in row-padded flat tables of width
+    P, the smallest power of two above the atom count m.  Row i, column k
+    describes the segment entered once k atoms lie in the closed ball:
 
     - `_dist_flat`: sorted distances d_0..d_{m-1}, then NaN padding;
     - `_cum_flat`: the segment's ball mass (0, cum_0, .., cum_{m-1});
@@ -201,6 +204,9 @@ class InfluenceKernel:
         n, m = len(self.demand), len(self.atoms)
         if m == 0:
             raise ValueError("measure must have at least one atom")
+        for name, values, size in (("weights", w, m), ("demand_probs", self.probs, n)):
+            if values.shape != (size,) or not (np.isfinite(values).all() and (values >= 0).all()):
+                raise ValueError(f"{name} must be {size} finite, nonnegative values")
         # query points per block of `influence`; callers that split a query
         # set on multiples of it get the same result as one call
         fit = min(_CHUNK_ELEMS // max(n, 1), _CHUNK_POINTS)
@@ -395,6 +401,63 @@ class InfluenceKernel:
         return grad
 
 
+class _SimplexObjective:
+    """J restricted to measures sum_i p_i b delta_{x_i} on a fixed support.
+
+    Distances and their sort order are precomputed once (the same sorted
+    support `InfluenceKernel` builds), so an evaluation is a cumulative sum
+    plus a few elementwise passes over an (n_demand, n_support) array.  Each
+    point's segment terms are computed once: the last point evaluated is kept
+    (as a copy, compared by value) with its terms and J, so `value_and_grad`
+    at the point `value` just accepted only adds the suffix sums and the
+    gradient.  Those passes run in place in three (n_demand, n_support)
+    buffers allocated once: the segment terms of the last point, the
+    sorted weights (then the suffix sums) and the per-atom tails.  Only J and
+    a freshly allocated gradient leave the object, so a later evaluation
+    that overwrites the buffers changes nothing a caller holds.
+    """
+
+    def __init__(self, support, demand_pts, demand_probs, curve, norm, budget):
+        self.probs = np.asarray(demand_probs, dtype=float)
+        self.b = float(budget)
+        self.order, self.d, bd, self.dbeta = _sorted_support(demand_pts, support, curve, norm)
+        n, m = self.order.shape
+        self.head = float(self.probs @ (bd[:, 0] - beta(curve, 0.0)))
+        # flat index of each atom's tail in the (n, m) table of cumulative sums
+        # over the reversed segment terms: an atom at sorted position k reads
+        # column m - 1 - k, the tail from its own radius (the segments between
+        # it and atoms tied with it have zero width, so this is the
+        # closed-ball tail exactly)
+        self._tail_index = np.empty_like(self.order)
+        np.put_along_axis(self._tail_index, self.order,
+                          np.arange(m - 1, -1, -1) + np.arange(0, n * m, m)[:, None], axis=1)
+        self._seg, self._w, self._tails = np.empty((3, n, m))
+        self._last = (None, None)  # (p, J); `_seg` holds p's segment terms
+
+    def _evaluate(self, p):
+        last_p, j = self._last
+        if last_p is None or not (p == last_p).all():
+            seg, w = self._seg, self._w
+            (np.maximum(p, 0.0) * self.b).take(self.order, out=w, mode="clip")
+            w.cumsum(axis=1, out=seg)
+            np.negative(seg, out=seg)
+            np.exp(seg, out=seg)
+            seg *= self.dbeta
+            j = self.head + float(self.probs @ seg.sum(axis=1))
+            self._last = (np.array(p, dtype=float), j)
+        return j
+
+    def value(self, p) -> float:
+        return self._evaluate(p)
+
+    def value_and_grad(self, p):
+        j = self._evaluate(p)
+        suffix = self._seg[:, ::-1].cumsum(axis=1, out=self._w)
+        t_atoms = suffix.take(self._tail_index, out=self._tails, mode="clip")
+        grad = -self.b * (self.probs @ t_atoms)
+        return j, grad
+
+
 def survival_integral(mu: DiscreteMeasure, y, curve: DeathCurve, norm=L2) -> float:
     """int_0^inf exp(-mu(B(y, t))) d(beta)(t), in closed form.
 
@@ -446,7 +509,8 @@ def directional_derivative(
 def correction_gradient(support, p, problem, eta_or_batch=None) -> np.ndarray:
     """Gradient of J(sum_i p_i b delta_{x_i}) with respect to the simplex weights.
 
-    Component i is -b * int eta(dy) int_{d(x_i, y)}^inf e^{-mass(t)} d(beta)(t).
+    Component i is -b * int eta(dy) int_{d(x_i, y)}^inf e^{-mass(t)} d(beta)(t),
+    from `_SimplexObjective.value_and_grad`, which the corrective step uses.
     A sampled problem needs `eta_or_batch`: there is no config to draw a batch from.
     """
     support = as_points(support)
@@ -457,15 +521,9 @@ def correction_gradient(support, p, problem, eta_or_batch=None) -> np.ndarray:
         raise ValueError("weight vector length must match the support")
     if abs(p.sum() - 1.0) > 1e-9 or np.any(p < -1e-9):
         raise ValueError("weights must lie on the unit simplex")
-    eta_or_batch = problem.eta if eta_or_batch is None else eta_or_batch
-    pts, probs = demand_of(eta_or_batch)
-    b = problem.budget
-    kernel = InfluenceKernel(
-        support, np.maximum(p, 0.0) * b, pts, probs, problem.curve, problem.norm, budget=b
-    )
-    r = pairwise_distance(pts, support, problem.norm)
-    t = kernel.tails(r)
-    return -b * (probs @ t)
+    demand = demand_of(problem.eta if eta_or_batch is None else eta_or_batch)
+    obj = _SimplexObjective(support, *demand, problem.curve, problem.norm, problem.budget)
+    return obj.value_and_grad(p)[1]
 
 
 def simulate_objective(

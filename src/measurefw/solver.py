@@ -25,12 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import (L1, L2, ConvexPolygon, _project, as_points, build_grid, contains_many,
+from .geometry import (L1, L2, ConvexPolygon, _project, build_grid, contains_many,
                        pairwise_distance, sample_uniform)
 from .measure import MERGE_EPS, DiscreteMeasure, check_budget
-from .response import (InfluenceKernel, SampleBatch, _sorted_support, correction_gradient,
+from .response import (InfluenceKernel, SampleBatch, _SimplexObjective, correction_gradient,
                        demand_of, smoothness_constant)
-from .scenario import DiscretePoints, Problem, beta
+from .scenario import DiscretePoints, Problem
 
 __all__ = [
     "SolverConfig",
@@ -152,68 +152,15 @@ def simplex_project(v) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-class _SimplexObjective:
-    """J restricted to measures sum_i p_i b delta_{x_i} on a fixed support.
+def _pgd_simplex(obj: _SimplexObjective, p0, steps: int):
+    """Monotone projected gradient descent on the simplex with backtracking.
 
-    Distances and their sort order are precomputed once (the same sorted
-    support `InfluenceKernel` builds), so an evaluation is a cumulative sum
-    plus a few elementwise passes over an (n_demand, n_support) array.  Each
-    point's segment terms are computed once: the last point evaluated is kept
-    (as a copy, compared by value) with its terms and J, so `value_and_grad`
-    at the point `value` just accepted only adds the suffix sums and the
-    gradient.  Those passes run in place in three (n_demand, n_support)
-    buffers allocated once: the segment terms of the last point, the
-    sorted weights (then the suffix sums) and the per-atom tails.  Only J and
-    a freshly allocated gradient leave the object, so a later evaluation
-    that overwrites the buffers changes nothing a caller holds.
+    Steps follow `obj.value_and_grad`'s gradient from the base step 1/b^2,
+    b = `obj.b`: the simplex Hessian of J is bounded by b^2.
     """
-
-    def __init__(self, support, demand_pts, demand_probs, curve, norm, budget):
-        self.probs = np.asarray(demand_probs, dtype=float)
-        self.b = float(budget)
-        self.order, self.d, bd, self.dbeta = _sorted_support(demand_pts, support, curve, norm)
-        n, m = self.order.shape
-        self.head = float(self.probs @ (bd[:, 0] - beta(curve, 0.0)))
-        # flat index of each atom's tail in the (n, m) table of cumulative sums
-        # over the reversed segment terms: an atom at sorted position k reads
-        # column m - 1 - k, the tail from its own radius (the segments between
-        # it and atoms tied with it have zero width, so this is the
-        # closed-ball tail exactly)
-        self._tail_index = np.empty_like(self.order)
-        np.put_along_axis(self._tail_index, self.order,
-                          np.arange(m - 1, -1, -1) + np.arange(0, n * m, m)[:, None], axis=1)
-        self._seg, self._w, self._tails = np.empty((3, n, m))
-        self._last = (None, None)  # (p, J); `_seg` holds p's segment terms
-
-    def _evaluate(self, p):
-        last_p, j = self._last
-        if last_p is None or not (p == last_p).all():
-            seg, w = self._seg, self._w
-            (np.maximum(p, 0.0) * self.b).take(self.order, out=w, mode="clip")
-            w.cumsum(axis=1, out=seg)
-            np.negative(seg, out=seg)
-            np.exp(seg, out=seg)
-            seg *= self.dbeta
-            j = self.head + float(self.probs @ seg.sum(axis=1))
-            self._last = (np.array(p, dtype=float), j)
-        return j
-
-    def value(self, p) -> float:
-        return self._evaluate(p)
-
-    def value_and_grad(self, p):
-        j = self._evaluate(p)
-        suffix = self._seg[:, ::-1].cumsum(axis=1, out=self._w)
-        t_atoms = suffix.take(self._tail_index, out=self._tails, mode="clip")
-        grad = -self.b * (self.probs @ t_atoms)
-        return j, grad
-
-
-def _pgd_simplex(obj: _SimplexObjective, p0, steps: int, step0: float):
-    """Monotone projected gradient descent on the simplex with backtracking."""
+    step = step0 = 1.0 / max(obj.b * obj.b, 1e-30)
     p = simplex_project(p0)
     j = obj.value(p)
-    step = step0
     for _ in range(steps):
         _, g = obj.value_and_grad(p)
         accepted = False
@@ -232,21 +179,17 @@ def _pgd_simplex(obj: _SimplexObjective, p0, steps: int, step0: float):
     return p, j
 
 
-def _corrective_step0(budget: float) -> float:
-    # the simplex Hessian of J is bounded by b^2, so 1/b^2 is a safe base step
-    return 1.0 / max(budget * budget, 1e-30)
-
-
 def fully_corrective(support, p_init, problem: Problem, eta_or_batch, config: SolverConfig):
     """Reoptimize simplex weights over a fixed support; never increases J."""
-    support = as_points(support)
     demand = demand_of(_resolve_demand(problem, config) if eta_or_batch is None else eta_or_batch)
     obj = _SimplexObjective(support, *demand, problem.curve, problem.norm, problem.budget)
-    p, _ = _pgd_simplex(obj, p_init, config.correction_steps, _corrective_step0(problem.budget))
-    return p
+    return _pgd_simplex(obj, p_init, config.correction_steps)[0]
 
 
-def kkt_residual(support, p, problem: Problem, eta_or_batch=None, active_tol=1e-8) -> float:
+_KKT_ACTIVE_TOL = 1e-8
+
+
+def kkt_residual(support, p, problem: Problem, eta_or_batch=None) -> float:
     """Stationarity residual of weights on the simplex.
 
     At an optimum the gradient is constant over the active coordinates; the
@@ -254,10 +197,8 @@ def kkt_residual(support, p, problem: Problem, eta_or_batch=None, active_tol=1e-
     `correction_gradient`, it needs `eta_or_batch` for a sampled problem.
     """
     g = correction_gradient(support, p, problem, eta_or_batch)
-    active = np.asarray(p) > active_tol
-    if not np.any(active):
-        return float("nan")
-    ga = g[active]
+    # p passed the simplex check, so its largest weight, ~1/m or more, is active
+    ga = g[np.asarray(p) > _KKT_ACTIVE_TOL]
     return float(np.max(np.abs(ga - ga.mean())))
 
 
@@ -426,7 +367,6 @@ def fcfw_solve(problem: Problem, config: SolverConfig):
     b = problem.budget
     lip = smoothness_constant(b)
     radius = b  # total-variation diameter of the fixed-budget feasible set
-    step0 = _corrective_step0(b)
 
     def corrective(k, support, weights, i, h_star, demand):
         obj = _SimplexObjective(support, *demand, problem.curve, problem.norm, b)
@@ -438,7 +378,7 @@ def fcfw_solve(problem: Problem, config: SolverConfig):
         p_mid = (1.0 - t_k) * p
         p_mid[i] += t_k
         start = p if obj.value(p) <= obj.value(p_mid) else p_mid
-        p, _ = _pgd_simplex(obj, start, config.correction_steps, step0)
+        p, _ = _pgd_simplex(obj, start, config.correction_steps)
         keep = p > 0.0
         p = p[keep]
         return support[keep], p / p.sum() * b

@@ -420,8 +420,10 @@ def test_make_city(tmp_path, capsys):
     single = tmp_path / "single.json"
     main(["make-city", "--units", "1", "--seed", "0", "--out", str(single)])
     assert len(load_scenario(str(single)).eta.rects) == 1
+    capsys.readouterr()
     rc = main(["make-city", "--units", "0", "--seed", "0", "--out", str(tmp_path / "z.json")])
     assert rc == 2
+    assert "--units" in capsys.readouterr().err
 
 
 def test_outputs_round_trip_through_readers(three_point_file, tmp_path):
@@ -446,7 +448,7 @@ def test_oracle_and_make_city_reject_bad_flags(tmp_path, capsys):
                  "--lambda2", "0.5", "--budget", "1"]
     for flag, value in (("--lambda1", "nan"), ("--lambda2", "nan"), ("--lambda1", "-0.5"),
                         ("--budget", "nan"), ("--budget", "0"), ("--budget", "inf"),
-                        ("--y2", "nan,0"), ("--y1", "0,inf")):
+                        ("--y2", "nan,0"), ("--y1", "0,inf"), ("--y1", "1,2,3")):
         argv = list(two_point)
         argv[argv.index(flag) + 1] = value
         assert _exit_code(argv) == 2
@@ -467,6 +469,40 @@ def test_oracle_and_make_city_reject_bad_flags(tmp_path, capsys):
         out = tmp_path / f"city{budget}.json"
         assert main(["make-city", "--units", "4", "--out", str(out), "--budget", budget]) == 2
         assert "--budget" in capsys.readouterr().err
+        assert not out.exists()
+    for units in ("0", "-3"):
+        out = tmp_path / f"city{units}.json"
+        assert main(["make-city", "--units", units, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "--units" in captured.err and captured.out == ""
+        assert not out.exists()
+
+
+MALFORMED_INPUT_FILES = [
+    # (which file, its text, the error message)
+    ("scenario", "{not json", "invalid scenario JSON"),
+    ("scenario", "[1, 2]", "scenario document must be a JSON object"),
+    ("scenario", '{"budget": 1.0}', "scenario is missing required field 'eta'"),
+    ("measure", None, "measure file not found"),
+    ("measure", "{not json", "malformed measure file"),
+    ("measure", '{"atoms": [{"x": 0, "y": 0, "w": 1}]}', "malformed measure file"),
+]
+
+
+@pytest.mark.parametrize("which, text, message", MALFORMED_INPUT_FILES)
+def test_malformed_input_files_exit_2(which, text, message, two_point_file, tmp_path, capsys):
+    files = {"scenario": two_point_file, "measure": str(tmp_path / "mu.json")}
+    _write_measure(files["measure"], two_point_optimum([0, 0], [1, 0], 0.5, 0.5, 1.0))
+    files[which] = str(tmp_path / "bad.json")
+    if text is not None:
+        Path(files[which]).write_text(text)
+    out = tmp_path / "map.csv"
+    common = ["--scenario", files["scenario"], "--measure", files["measure"]]
+    for argv in (["certify", *common, "--grid", "4", "--tol", "1e-3"],
+                 ["influence-map", *common, "--resolution", "4", "--out", str(out)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
         assert not out.exists()
 
 

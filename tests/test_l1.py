@@ -20,7 +20,7 @@ from measurefw import (
     vertex_argmin_check,
 )
 from measurefw.geometry import pairwise_distance
-from measurefw.response import InfluenceKernel, correction_gradient
+from measurefw.response import InfluenceKernel
 from measurefw.solver import _candidate_pool, _pgd_simplex, _SimplexObjective
 from helpers import CURVE, rand_discrete_eta, rand_measure
 
@@ -250,17 +250,19 @@ def test_simplex_gradient_with_tied_l1_distances():
     rng = np.random.default_rng(31)
     pts = rng.integers(0, 4, size=(8, 2)).astype(float)
     probs = rng.random(8) + 0.1
-    problem = Problem(DiscretePoints(pts, probs / probs.sum()), budget=2.5, norm="l1")
-    verts = build_grid(problem.eta.points).vertices
-    d = pairwise_distance(problem.eta.points, verts, "l1")
+    eta = DiscretePoints(pts, probs / probs.sum())
+    b = 2.5
+    verts = build_grid(eta.points).vertices
+    d = pairwise_distance(eta.points, verts, "l1")
     assert any(len(np.unique(row)) < len(row) for row in d)
-    obj = _SimplexObjective(verts, problem.eta.points, problem.eta.probs, CURVE, "l1",
-                            problem.budget)
+    obj = _SimplexObjective(verts, eta.points, eta.probs, CURVE, "l1", b)
     for _ in range(5):
         p = rng.random(len(verts)) * (rng.random(len(verts)) < 0.6)
         p = p / p.sum()
         _, grad = obj.value_and_grad(p)
-        np.testing.assert_allclose(grad, correction_gradient(verts, p, problem),
+        # the kernel path: the influence at atom i is h_const plus gradient entry i
+        kernel = InfluenceKernel(verts, p * b, eta.points, eta.probs, CURVE, "l1", budget=b)
+        np.testing.assert_allclose(grad, kernel.influence(verts) - kernel.h_const,
                                    rtol=0, atol=1e-12)
 
 
@@ -371,6 +373,7 @@ class _FreshObjective:
 
     def __init__(self, args):
         self.args = args
+        self.b = float(args[-1])
 
     def value(self, p):
         return _SimplexObjective(*self.args).value(p)
@@ -383,8 +386,7 @@ class _FreshObjective:
 def test_pgd_simplex_with_memo_matches_fresh_objectives(make):
     rng, args = make(9)
     p0 = np.full(len(args[0]), 1.0 / len(args[0]))
-    step0 = 1.0 / args[-1] ** 2
-    p, j = _pgd_simplex(_SimplexObjective(*args), p0, 30, step0)
-    p_ref, j_ref = _pgd_simplex(_FreshObjective(args), p0, 30, step0)
+    p, j = _pgd_simplex(_SimplexObjective(*args), p0, 30)
+    p_ref, j_ref = _pgd_simplex(_FreshObjective(args), p0, 30)
     assert np.array_equal(p, p_ref) and np.array_equal(j, j_ref)
     assert j < _SimplexObjective(*args).value(p0)  # the descent moved

@@ -33,6 +33,18 @@ def test_constructor_validates():
         DiscreteMeasure([[np.inf, 0]], [1.0])
 
 
+@pytest.mark.parametrize("points, weights, budget, message", [
+    ([[0, 0], [1, 1]], [1.0], None, "points and weights must have the same length"),
+    ([[0, 0]], [np.nan], None, "atom weights must be finite"),
+    ([[0, 0], [1, 1]], [np.inf, 1.0], None, "atom weights must be finite"),
+    ([[0, 0]], [1.0], np.inf, "budget must be finite and nonnegative"),
+    ([[0, 0]], [1.0], np.nan, "budget must be finite and nonnegative"),
+], ids=["length mismatch", "NaN weight", "infinite weight", "infinite budget", "NaN budget"])
+def test_constructor_rejects_malformed_input(points, weights, budget, message):
+    with pytest.raises(ValueError, match=message):
+        DiscreteMeasure(points, weights, budget)
+
+
 def test_constructor_merges_coincident_atoms():
     mu = DiscreteMeasure([[0.3, 0.3], [0.3, 0.3]], [0.4, 0.6])
     assert mu.n_atoms == 1

@@ -259,6 +259,50 @@ def test_nonfinite_queries_raise():
         influence_gradient(TRI_UNIFORM, [0.2, 0.3, 0.4, 0.1], TRI, CURVE)
 
 
+TWO_ATOMS, TWO_DEMAND = [[0.0, 0.0], [1.0, 0.0]], [[0.2, 0.1], [0.8, 0.3]]
+BAD_WEIGHTS = "weights must be 2 finite, nonnegative values"
+BAD_PROBS = "demand_probs must be 2 finite, nonnegative values"
+BAD_KERNEL_INPUTS = {
+    "negative weight": ([0.5, -0.5], [0.5, 0.5], BAD_WEIGHTS),
+    "NaN weight": ([0.5, np.nan], [0.5, 0.5], BAD_WEIGHTS),
+    "infinite weight": ([np.inf, 0.5], [0.5, 0.5], BAD_WEIGHTS),
+    "extra weight": ([0.5, 0.5, 0.5], [0.5, 0.5], BAD_WEIGHTS),
+    "scalar weight": (1.0, [0.5, 0.5], BAD_WEIGHTS),
+    "NaN probability": ([0.5, 0.5], [0.5, np.nan], BAD_PROBS),
+    "negative probability": ([0.5, 0.5], [1.5, -0.5], BAD_PROBS),
+    "missing probability": ([0.5, 0.5], [1.0], BAD_PROBS),
+}
+
+
+@pytest.mark.parametrize("weights, probs, message", BAD_KERNEL_INPUTS.values(),
+                         ids=BAD_KERNEL_INPUTS.keys())
+def test_kernel_rejects_bad_weights_and_probs(weights, probs, message):
+    with pytest.raises(ValueError, match=message):
+        InfluenceKernel(TWO_ATOMS, weights, TWO_DEMAND, probs, CURVE, "l2")
+
+
+TWO_DEMAND_PROBLEM = Problem(DiscretePoints(TWO_DEMAND, [0.5, 0.5]), budget=1.0)
+REJECTED_CALLS = {
+    "empty batch": (lambda: SampleBatch(np.empty((0, 2)), seed=0),
+                    r"batch must be a nonempty \(n, 2\) array of points"),
+    "empty support": (lambda: correction_gradient(np.empty((0, 2)), [], TWO_DEMAND_PROBLEM),
+                      "support must be nonempty"),
+    "weights longer than support": (
+        lambda: correction_gradient(TWO_ATOMS[:1], [0.5, 0.5], TWO_DEMAND_PROBLEM),
+        "weight vector length must match the support"),
+    "gradient under L1": (
+        lambda: InfluenceKernel(TWO_ATOMS, [0.5, 0.5], TWO_DEMAND, [0.5, 0.5], CURVE,
+                                "l1").influence_gradient([0.5, 0.5]),
+        "influence gradient is only available under the L2 norm"),
+}
+
+
+@pytest.mark.parametrize("call, message", REJECTED_CALLS.values(), ids=REJECTED_CALLS.keys())
+def test_response_rejects_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_single_point_queries_keep_their_shape():
     x = np.array([0.2, 0.3])
     h = influence(TRI_UNIFORM, x, TRI, CURVE)

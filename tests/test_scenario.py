@@ -197,3 +197,67 @@ def test_make_city():
     assert make_city(12, seed=9) == make_city(12, seed=9)  # seed determinism
     with pytest.raises(ScenarioError):
         make_city(0, seed=1)
+
+
+def _doc(**fields):
+    """THREE_POINT_DOC with top-level fields replaced (None removes a field)."""
+    doc = dict(THREE_POINT_DOC, **fields)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+FLAT = Rect([0, 0], [0, 1])  # zero area
+REJECTED = {
+    "non-finite curve": (lambda: DeathCurve(a=np.nan), ValueError,
+                         "death curve parameters must be finite"),
+    "negative probability": (lambda: DiscretePoints([[0, 0], [1, 0]], [1.5, -0.5]),
+                             ScenarioError, "demand probabilities must be finite and nonnegative"),
+    "NaN mixture weight": (lambda: RectMixture([Rect([0, 0], [1, 1])], [np.nan]),
+                           ScenarioError, "mixture weights must be finite and nonnegative"),
+    "points and probabilities": (lambda: DiscretePoints([[0, 0], [1, 0]], [1.0]),
+                                 ScenarioError, "must have the same length"),
+    "components and weights": (lambda: RectMixture([Rect([0, 0], [1, 1])] * 2, [1.0]),
+                               ScenarioError, "must have the same length"),
+    "empty mixture": (lambda: RectMixture([], []), ScenarioError,
+                      "mixture must have at least one component"),
+    "zero-area mixture": (lambda: RectMixture([FLAT], [1.0]), ScenarioError,
+                          "mixture rectangles must have positive area"),
+    "zero-area uniform rect": (lambda: UniformRect(FLAT), ScenarioError,
+                               "uniform rectangle must have positive area"),
+    "sample unknown type": (lambda: sample_incident(object(), np.random.default_rng(0)),
+                            TypeError, "unknown incident distribution type object"),
+    "hull of unknown type": (lambda: support_hull("points"), TypeError,
+                             "unknown incident distribution type str"),
+    "malformed rect": (lambda: load_scenario(_doc(eta={"type": "uniform_rect",
+                                                       "rect": [0, 0, 1]})),
+                       ScenarioError, r"rectangle must be \[xmin, ymin, xmax, ymax\]"),
+    "inverted rect": (lambda: load_scenario(_doc(eta={"type": "uniform_rect",
+                                                      "rect": [1, 1, 0, 0]})),
+                      ScenarioError, "min corner must be <= max corner"),
+    "eta without type": (lambda: load_scenario(_doc(eta={"points": [[0, 0]]})),
+                         ScenarioError, "eta must be an object with a 'type' field"),
+    "eta not an object": (lambda: load_scenario(_doc(eta=[[0, 0]])),
+                          ScenarioError, "eta must be an object with a 'type' field"),
+    "missing eta field": (lambda: load_scenario(_doc(eta={"type": "uniform_rect"})),
+                          ScenarioError, "eta is missing required field 'rect'"),
+    "malformed eta": (lambda: load_scenario(_doc(eta={
+        "type": "mixture", "components": [{"rect": [0, 0, 1, 1], "prob": "half"}]})),
+                      ScenarioError, "malformed eta: could not convert string to float"),
+    "missing eta": (lambda: load_scenario(_doc(eta=None)), ScenarioError,
+                    "scenario is missing required field 'eta'"),
+    "non-numeric budget": (lambda: load_scenario(_doc(budget="one")), ScenarioError,
+                           "budget must be a number"),
+    "bad norm": (lambda: load_scenario(_doc(norm="l3")), ScenarioError,
+                 "unknown norm 'l3'; expected 'l1' or 'l2'"),
+    "non-numeric beta": (lambda: load_scenario(_doc(beta={"a": "x"})), ScenarioError,
+                         "malformed beta parameters"),
+    "non-finite beta": (lambda: load_scenario(_doc(beta={"c": float("inf")})), ScenarioError,
+                        "malformed beta parameters: death curve parameters must be finite"),
+    "malformed domain": (lambda: load_scenario(_doc(domain=[0, 0, 1, 0, 1, 1])), ScenarioError,
+                         r"malformed domain: expected an \(n, 2\) array of points"),
+}
+
+
+@pytest.mark.parametrize("make, exc, message", REJECTED.values(), ids=REJECTED.keys())
+def test_scenario_rejects_malformed_input(make, exc, message):
+    with pytest.raises(exc, match=message):
+        make()

@@ -387,6 +387,22 @@ def test_trace_csv_round_trip():
     assert np.array_equal(back.h_values(), trace.h_values())
 
 
+REJECTED_CALLS = {
+    "certify grid 0": (lambda: certify(TRI_UNIFORM, TRI_PROBLEM, 0, SolverConfig(**FAST)),
+                       "grid_resolution must be >= 1"),
+    "NaN projection input": (lambda: simplex_project([0.5, np.nan]),
+                             "vector entries must be finite"),
+    "trace header": (lambda: SolveTrace.read_csv(io.StringIO("k,J,h\n0,0.1,-0.01\n")),
+                     r"unexpected trace header \['k', 'J', 'h'\]"),
+}
+
+
+@pytest.mark.parametrize("call, message", REJECTED_CALLS.values(), ids=REJECTED_CALLS.keys())
+def test_solver_rejects_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_fw_tolerance_stops_early():
     y = np.array([0.0, 0.0])
     prob = Problem(DiscretePoints([y], [1.0]), budget=1.0)
