@@ -34,7 +34,7 @@ from .response import InfluenceKernel, simulate_objective, worker_count
 from .scenario import ScenarioError, load_scenario, make_city
 from .solver import (
     SolverConfig,
-    _resolve_demand,
+    _measure_kernel,
     certify,
     dfw_solve,
     fcfw_solve,
@@ -130,9 +130,7 @@ def cmd_influence_map(args) -> int:
         raise ScenarioError(f"--resolution must be at least 1, got {args.resolution}")
     problem = load_scenario(args.scenario)
     measure = _load_measure(args.measure)
-    check_budget(measure, problem.budget)
-    demand = _resolve_demand(problem, SolverConfig(seed=args.seed))
-    kernel = InfluenceKernel.of(measure, demand, problem.curve, problem.norm)
+    kernel = _measure_kernel(measure, problem, SolverConfig(seed=args.seed))
     pts = lattice_points(problem.domain, args.resolution, inside_only=False)
     inside = contains_many(problem.domain, pts)
     h = np.full(len(pts), np.nan)

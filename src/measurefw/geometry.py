@@ -228,10 +228,8 @@ def _hull_vertices(pts: np.ndarray) -> np.ndarray:
 
     lower = half_chain(pts)
     upper = half_chain(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # fully collinear input collapses to endpoints
-        return np.vstack([pts[0], pts[-1]])
-    return np.asarray(hull)
+    # each chain runs between the two extremes: collinear input keeps just those
+    return np.asarray(lower[:-1] + upper[:-1])
 
 
 class ConvexPolygon:
@@ -287,10 +285,7 @@ class ConvexPolygon:
 
 def convex_hull(points) -> ConvexPolygon:
     """Convex hull of a nonempty point set, with collinear points removed."""
-    pts = as_points(points)
-    if len(pts) == 0:
-        raise ValueError("empty point set")
-    return ConvexPolygon(pts)
+    return ConvexPolygon(points)
 
 
 def contains_many(poly: ConvexPolygon, pts) -> np.ndarray:

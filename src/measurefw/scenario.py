@@ -259,7 +259,7 @@ def _incident_from_json(obj) -> IncidentDistribution:
             points = obj["points"]
             probs = obj.get("probs")
             if probs is None:
-                probs = np.full(len(points), 1.0 / len(points))
+                probs = np.full(len(points), 1.0 / max(len(points), 1))
             return DiscretePoints(points, probs)
         if kind == "uniform_rect":
             return UniformRect(_rect_from_json(obj["rect"]))

@@ -127,7 +127,9 @@ class SolveTrace:
         header = next(reader)
         if tuple(header) != cls.HEADER:
             raise ValueError(f"unexpected trace header {header}")
-        for row in reader:
+        for row in filter(None, reader):  # blank lines read as empty rows
+            if len(row) != len(cls.HEADER):
+                raise ValueError(f"malformed trace row {row}")
             trace.append(int(row[0]), float(row[1]), float(row[2]),
                          [float(row[3]), float(row[4])], int(row[5]), float(row[6]))
         return trace
@@ -179,10 +181,14 @@ def _pgd_simplex(obj: _SimplexObjective, p0, steps: int):
     return p, j
 
 
-def fully_corrective(support, p_init, problem: Problem, eta_or_batch, config: SolverConfig):
-    """Reoptimize simplex weights over a fixed support; never increases J."""
-    demand = demand_of(_resolve_demand(problem, config) if eta_or_batch is None else eta_or_batch)
-    obj = _SimplexObjective(support, *demand, problem.curve, problem.norm, problem.budget)
+def fully_corrective(support, p_init, problem: Problem, config: SolverConfig):
+    """Reoptimize simplex weights over a fixed support; never increases J.
+
+    The demand is the exact eta, or the batch config's `mc_batch_size` and
+    `seed` draw, as in `fcfw_solve`.
+    """
+    obj = _SimplexObjective(support, *_resolve_demand(problem, config), problem.curve,
+                            problem.norm, problem.budget)
     return _pgd_simplex(obj, p_init, config.correction_steps)[0]
 
 
@@ -303,20 +309,24 @@ def minimize_influence(mu: DiscreteMeasure, problem: Problem, config: SolverConf
     dropped lane's last point is still a candidate.  Under L1 they are the
     atoms and the demand vertex grid: in full for discrete eta (exact over
     the grid's span; it holds the demand points), at most 64 per axis for a
-    sampled batch.  The demand is the one `fcfw_solve` uses under config;
-    `rng` draws the Adam starts.  mu's budget must be the problem's.
+    sampled batch.  The demand is the exact eta or config's frozen batch, as in
+    `fcfw_solve`; `rng` draws the Adam starts.  mu's budget must be the problem's.
     """
-    check_budget(mu, problem.budget)
-    demand = _resolve_demand(problem, config)
-    kernel = InfluenceKernel.of(mu, demand, problem.curve, problem.norm)
-    return _minimize_influence_kernel(kernel, problem, config, rng)
+    return _minimize_influence_kernel(_measure_kernel(mu, problem, config), problem, config, rng)
 
 
 def _resolve_demand(problem: Problem, config: SolverConfig):
-    """Exact demand for discrete eta, else a frozen batch (common random numbers)."""
+    """(points, probs) of a solve under config: a discrete eta, else its frozen batch."""
     if isinstance(problem.eta, DiscretePoints):
-        return problem.eta
-    return SampleBatch.draw(problem.eta, config.mc_batch_size, config.seed)
+        return demand_of(problem.eta)
+    return demand_of(SampleBatch.draw(problem.eta, config.mc_batch_size, config.seed))
+
+
+def _measure_kernel(mu: DiscreteMeasure, problem: Problem, config: SolverConfig):
+    """mu's kernel against the demand of a solve under config, at the problem's budget."""
+    check_budget(mu, problem.budget)
+    return InfluenceKernel(mu.points, mu.weights, *_resolve_demand(problem, config),
+                           problem.curve, problem.norm, budget=mu.budget)
 
 
 def _frank_wolfe(problem: Problem, config: SolverConfig, update):
@@ -330,7 +340,7 @@ def _frank_wolfe(problem: Problem, config: SolverConfig, update):
     """
     rng = np.random.default_rng(config.seed)
     b = problem.budget
-    demand = demand_of(_resolve_demand(problem, config))
+    demand = _resolve_demand(problem, config)
 
     support = _random_in_domain(problem.domain, rng, 1)
     weights = np.array([b])
@@ -429,7 +439,7 @@ def two_point_optimum(y1, y2, lambda1: float, lambda2: float, budget: float) -> 
 
 
 def certify(mu: DiscreteMeasure, problem: Problem, grid_resolution: int,
-            config: SolverConfig, *, eta_or_batch=None):
+            config: SolverConfig):
     """Global influence sweep: lattice over the domain plus Adam refinement.
 
     The 16 lowest lattice or pool points and mu's atoms seed the projected
@@ -437,19 +447,15 @@ def certify(mu: DiscreteMeasure, problem: Problem, grid_resolution: int,
     of the steps (never below two); every lane's last point is a candidate.
     Returns (min_h, argmin).  The measure is approximately optimal at
     tolerance tau iff min_h >= -tau.  mu's budget must be the problem's.
-    The demand is the one `fcfw_solve` uses under config, unless the
-    keyword-only `eta_or_batch` (a discrete eta or a SampleBatch) is given.
+    The demand is the exact eta, or the batch config's `mc_batch_size` and
+    `seed` draw: under a solve's config, the very batch that solve used.
     The lattice sweep is one `InfluenceKernel.influence` call, so a large
     lattice runs on up to `worker_count()` threads, with the same result
     for any count; a malformed MEASURE_FW_THREADS then raises ScenarioError.
     """
     if grid_resolution < 1:
         raise ValueError("grid_resolution must be >= 1")
-    check_budget(mu, problem.budget)
-    demand = eta_or_batch
-    if demand is None:
-        demand = _resolve_demand(problem, config)
-    kernel = InfluenceKernel.of(mu, demand, problem.curve, problem.norm)
+    kernel = _measure_kernel(mu, problem, config)
     pts = lattice_points(problem.domain, grid_resolution, inside_only=True)
     cands = np.vstack([pts, *_candidate_pool(kernel, problem)])
     h = kernel.influence(cands)

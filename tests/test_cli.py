@@ -14,7 +14,7 @@ from measurefw import (
     load_scenario,
     two_point_optimum,
 )
-from measurefw.cli import main
+from measurefw.cli import _write_atomic, main
 from measurefw.geometry import contains_many
 from measurefw.response import _THREAD_MIN_ELEMS, InfluenceKernel
 from measurefw.solver import lattice_points
@@ -483,6 +483,8 @@ MALFORMED_INPUT_FILES = [
     ("scenario", "{not json", "invalid scenario JSON"),
     ("scenario", "[1, 2]", "scenario document must be a JSON object"),
     ("scenario", '{"budget": 1.0}', "scenario is missing required field 'eta'"),
+    ("scenario", '{"budget": 1.0, "eta": {"type": "discrete", "points": []}}',
+     "malformed eta: expected an (n, 2) array of points, got shape (0,)"),
     ("measure", None, "measure file not found"),
     ("measure", "{not json", "malformed measure file"),
     ("measure", '{"atoms": [{"x": 0, "y": 0, "w": 1}]}', "malformed measure file"),
@@ -504,6 +506,26 @@ def test_malformed_input_files_exit_2(which, text, message, two_point_file, tmp_
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
         assert not out.exists()
+
+
+def test_solve_on_empty_discrete_eta_exits_2(tmp_path, capsys):
+    sfile = tmp_path / "empty.json"
+    sfile.write_text(json.dumps({"budget": 1.0, "eta": {"type": "discrete", "points": []}}))
+    assert main(["solve", "--scenario", str(sfile), "--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert "malformed eta: expected an (n, 2) array of points, got shape (0,)" in captured.err
+    assert captured.out == "" and not (tmp_path / "run").exists()
+
+
+def test_write_atomic_cleans_up_when_the_rename_fails(tmp_path):
+    # a file cannot replace a directory: os.replace fails after the write
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    (taken / "keep.txt").write_text("kept")
+    with pytest.raises(IsADirectoryError, match="Is a directory"):
+        _write_atomic(taken, "text")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert (taken / "keep.txt").read_text() == "kept"
 
 
 def test_bad_seed_exits_2_from_every_command(two_point_file, tmp_path, capsys):

@@ -5,6 +5,7 @@ from scipy.stats import chisquare
 from measurefw.geometry import (
     ConvexPolygon,
     Rect,
+    as_point,
     build_grid,
     contains,
     contains_many,
@@ -55,6 +56,12 @@ def test_hull_empty_errors():
 def test_hull_rejects_nonfinite():
     with pytest.raises(ValueError):
         convex_hull([[0.0, np.nan]])
+
+
+def test_as_point_rejects_other_shapes():
+    for bad, shape in (([1.0, 2.0, 3.0], r"\(3,\)"), ([[1.0, 2.0]], r"\(1, 2\)"), (1.0, r"\(\)")):
+        with pytest.raises(ValueError, match=rf"expected a planar point, got shape {shape}"):
+            as_point(bad)
 
 
 def test_project_examples():

@@ -19,7 +19,7 @@ from measurefw import (
     two_point_optimum,
     vertex_argmin_check,
 )
-from measurefw.geometry import pairwise_distance
+from measurefw.geometry import DemandGrid, pairwise_distance
 from measurefw.response import InfluenceKernel
 from measurefw.solver import _candidate_pool, _pgd_simplex, _SimplexObjective
 from helpers import CURVE, rand_discrete_eta, rand_measure
@@ -129,6 +129,34 @@ def test_checks_require_l1_discrete():
         concavity_check(mu, prob_l2, grid, 0, 10, rng)
     with pytest.raises(ValueError):
         vertex_argmin_check(mu, prob_l2, grid, 0, 10, rng)
+
+
+def test_checks_on_a_zero_area_rectangle():
+    rng = np.random.default_rng(6)
+    prob = rand_l1_problem(rng, n=4)
+    mu = rand_measure(rng, budget=prob.budget)
+    flat = DemandGrid([0.0, 0.0], [0.0, 1.0])  # its one rectangle has zero width
+    assert flat.rect(0).area == 0.0
+    with pytest.raises(ValueError, match="degenerate rectangle"):
+        concavity_check(mu, prob, flat, 0, 10, rng)
+    # no interior to sample: the check passes vacuously
+    assert vertex_argmin_check(mu, prob, flat, 0, 10, rng) is True
+
+
+def test_l1_solve_stops_at_fw_tolerance():
+    rng = np.random.default_rng(9)
+    prob = rand_l1_problem(rng, n=5, budget=1.0)
+    _, full = l1_solve_on_grid(prob, SolverConfig(max_outer_iters=6, **FAST, seed=0))
+    h = np.abs(full.h_values())
+    assert len(full) == 6 and h[0] > h[-1] > 0.0
+    # the run stops at the first round whose |h*| is below the tolerance
+    tol = float(np.median(h))
+    stop = int(np.argmax(h < tol))
+    assert 0 < stop < 5
+    _, cut = l1_solve_on_grid(prob, SolverConfig(max_outer_iters=6, fw_tolerance=tol, **FAST,
+                                                 seed=0))
+    assert len(cut) == stop + 1
+    assert np.array_equal(cut.h_values(), full.h_values()[: stop + 1])
 
 
 def test_l1_solve_matches_two_point_optimum_on_axis():

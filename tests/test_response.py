@@ -294,6 +294,13 @@ REJECTED_CALLS = {
         lambda: InfluenceKernel(TWO_ATOMS, [0.5, 0.5], TWO_DEMAND, [0.5, 0.5], CURVE,
                                 "l1").influence_gradient([0.5, 0.5]),
         "influence gradient is only available under the L2 norm"),
+    "kernel without atoms": (
+        lambda: InfluenceKernel(np.empty((0, 2)), [], TWO_DEMAND, [0.5, 0.5], CURVE, "l2"),
+        "measure must have at least one atom"),
+    "derivative at budget 0": (
+        lambda: directional_derivative(DiscreteMeasure([[0.0, 0.0]], [0.0]),
+                                       DiscreteMeasure([[1.0, 0.0]], [0.0]), TRI, CURVE),
+        "budget must be positive"),
 }
 
 
@@ -301,6 +308,12 @@ REJECTED_CALLS = {
 def test_response_rejects_malformed_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_demand_of_rejects_continuous_eta():
+    with pytest.raises(TypeError, match="expected a discrete incident distribution or a "
+                                        "SampleBatch, got UniformRect"):
+        response.demand_of(UniformRect(Rect([0, 0], [1, 1])))
 
 
 def test_single_point_queries_keep_their_shape():

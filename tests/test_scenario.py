@@ -155,6 +155,13 @@ def test_load_scenario_three_point(tmp_path):
     assert load_scenario(THREE_POINT_DOC).budget == 1.0
 
 
+def test_discrete_eta_without_probs_is_uniform():
+    points = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    prob = load_scenario(_doc(eta={"type": "discrete", "points": points}))
+    assert np.array_equal(prob.eta.points, points)
+    assert np.array_equal(prob.eta.probs, np.full(3, 1.0 / 3))
+
+
 def test_load_scenario_errors():
     bad = dict(THREE_POINT_DOC)
     bad["eta"] = dict(THREE_POINT_DOC["eta"], probs=[0.3, 0.3, 0.3])
@@ -254,6 +261,12 @@ REJECTED = {
                         "malformed beta parameters: death curve parameters must be finite"),
     "malformed domain": (lambda: load_scenario(_doc(domain=[0, 0, 1, 0, 1, 1])), ScenarioError,
                          r"malformed domain: expected an \(n, 2\) array of points"),
+    "empty discrete eta": (lambda: load_scenario(_doc(eta={"type": "discrete", "points": []})),
+                           ScenarioError, r"malformed eta: expected an \(n, 2\) array of points, "
+                           r"got shape \(0,\)"),
+    "empty discrete eta with probs": (
+        lambda: load_scenario(_doc(eta={"type": "discrete", "points": [], "probs": []})),
+        ScenarioError, r"malformed eta: expected an \(n, 2\) array of points, got shape \(0,\)"),
 }
 
 

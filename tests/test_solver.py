@@ -28,11 +28,12 @@ from measurefw import (
 )
 from measurefw.geometry import contains_many, project_many
 from measurefw import response
-from measurefw.response import InfluenceKernel
+from measurefw.response import InfluenceKernel, _SimplexObjective, demand_of
 from measurefw.solver import (
     _ADAM_LR,
     _adam_descend,
     _minimize_influence_kernel,
+    _pgd_simplex,
     lattice_points,
 )
 from helpers import CURVE, rand_discrete_eta
@@ -129,14 +130,17 @@ def test_fully_corrective_two_point():
     cfg = SolverConfig(**FAST)
     cfg.correction_steps = 200
     support = np.array([[0.0, 0.0], [1.0, 0.0]])
-    p = fully_corrective(support, [0.9, 0.1], TWO_PROBLEM, TWO, cfg)
+    p = fully_corrective(support, [0.9, 0.1], TWO_PROBLEM, cfg)
     assert np.allclose(p, [0.5, 0.5], atol=1e-4)
     assert kkt_residual(support, p, TWO_PROBLEM, TWO) < 1e-6
     # single support point has a single feasible weight vector
-    assert np.allclose(fully_corrective(support[:1], [1.0], TWO_PROBLEM, TWO, cfg), [1.0])
+    assert np.allclose(fully_corrective(support[:1], [1.0], TWO_PROBLEM, cfg), [1.0])
     # a flat support [x0, y0, x1, y1] is not read as two points
     with pytest.raises(ValueError, match="array of points"):
-        fully_corrective(support.reshape(-1), [0.9, 0.1], TWO_PROBLEM, TWO, cfg)
+        fully_corrective(support.reshape(-1), [0.9, 0.1], TWO_PROBLEM, cfg)
+    # the demand comes from the config alone: the old positional eta is gone
+    with pytest.raises(TypeError):
+        fully_corrective(support, [0.9, 0.1], TWO_PROBLEM, TWO, cfg)
 
 
 def test_fully_corrective_draws_the_solvers_batch_for_sampled_demand():
@@ -144,9 +148,10 @@ def test_fully_corrective_draws_the_solvers_batch_for_sampled_demand():
     prob = Problem(eta, budget=2.0)
     cfg = SolverConfig(**FAST)
     support = np.array([[0.2, 0.2], [0.8, 0.3], [0.5, 0.9]])
-    p = fully_corrective(support, [0.6, 0.3, 0.1], prob, None, cfg)
+    p = fully_corrective(support, [0.6, 0.3, 0.1], prob, cfg)
     batch = SampleBatch.draw(eta, cfg.mc_batch_size, cfg.seed)
-    assert np.array_equal(p, fully_corrective(support, [0.6, 0.3, 0.1], prob, batch, cfg))
+    obj = _SimplexObjective(support, *demand_of(batch), prob.curve, prob.norm, prob.budget)
+    assert np.array_equal(p, _pgd_simplex(obj, [0.6, 0.3, 0.1], cfg.correction_steps)[0])
 
 
 def test_fully_corrective_monotone():
@@ -159,7 +164,7 @@ def test_fully_corrective_monotone():
         p0 = rng.random(5)
         p0 = p0 / p0.sum()
         mu0 = DiscreteMeasure(support, p0 * prob.budget, prob.budget, merge_eps=0)
-        p1 = fully_corrective(support, p0, prob, eta, cfg)
+        p1 = fully_corrective(support, p0, prob, cfg)
         mu1 = DiscreteMeasure(support, p1 * prob.budget, prob.budget, merge_eps=0)
         assert objective_exact(mu1, eta, CURVE) <= objective_exact(mu0, eta, CURVE) + 1e-12
 
@@ -350,16 +355,16 @@ def test_certify_and_subproblem_on_sampled_demand():
     cfg = SolverConfig(**FAST, mc_batch_size=200, seed=4)
     mu = DiscreteMeasure([[0.5, 0.5], [1.5, 0.5]], [0.5, 0.5])
     batch = SampleBatch.draw(prob.eta, cfg.mc_batch_size, cfg.seed)
-    # an explicit batch equal to the one certify draws itself gives its result
-    min_h, argmin = certify(mu, prob, 20, cfg)
-    min_b, argmin_b = certify(mu, prob, 20, cfg, eta_or_batch=batch)
-    assert min_b == min_h and np.array_equal(argmin_b, argmin)
-    other = SampleBatch.draw(prob.eta, cfg.mc_batch_size, cfg.seed + 1)
-    assert certify(mu, prob, 20, cfg, eta_or_batch=other)[0] != min_h
-    with pytest.raises(TypeError):  # the batch is keyword only
-        certify(mu, prob, 20, cfg, batch)
-    # the subproblem resolves the same batch from the config
     kernel = InfluenceKernel.of(mu, batch, prob.curve, prob.norm)
+    # certify evaluates the batch the config names: its minimum is the
+    # influence on that batch at its argmin (to rounding: one query point
+    # sums in another order than a block of them)
+    min_h, argmin = certify(mu, prob, 20, cfg)
+    assert min_h == pytest.approx(kernel.influence(argmin[None])[0], rel=1e-12)
+    # another seed names another batch, and another minimum
+    other = SolverConfig(**FAST, mc_batch_size=200, seed=cfg.seed + 1)
+    assert certify(mu, prob, 20, other)[0] != min_h
+    # the subproblem resolves the same batch from the config
     x_ref, h_ref = _minimize_influence_kernel(kernel, prob, cfg, np.random.default_rng(0))
     x_star, h_star = minimize_influence(mu, prob, cfg, np.random.default_rng(0))
     assert h_star == h_ref <= 0.0 and np.array_equal(x_star, x_ref)
@@ -385,6 +390,9 @@ def test_trace_csv_round_trip():
     assert len(back) == len(trace)
     assert np.array_equal(back.j_values(), trace.j_values())
     assert np.array_equal(back.h_values(), trace.h_values())
+    # a trailing blank line is skipped
+    blank = SolveTrace.read_csv(io.StringIO(trace.to_csv_text() + "\n"))
+    assert _trajectory(blank) == _trajectory(trace)
 
 
 REJECTED_CALLS = {
@@ -394,6 +402,8 @@ REJECTED_CALLS = {
                              "vector entries must be finite"),
     "trace header": (lambda: SolveTrace.read_csv(io.StringIO("k,J,h\n0,0.1,-0.01\n")),
                      r"unexpected trace header \['k', 'J', 'h'\]"),
+    "short trace row": (lambda: SolveTrace.read_csv(io.StringIO(
+        ",".join(SolveTrace.HEADER) + "\n0,0.1\n")), r"malformed trace row \['0', '0.1'\]"),
 }
 
 
