@@ -1,8 +1,10 @@
 """Command-line front end: solve, influence maps, certification, oracles.
 
-Exit codes: 0 success, 2 input/schema error, 3 solver precondition violation,
-4 certification failed.  All structured outputs are JSON, grids and traces
-are CSV, and files are written atomically (temp file + rename).
+Exit codes: 0 success, 2 input error, 3 solver precondition violation,
+4 certification failed; `main` returns each one and never raises SystemExit.
+A flag's argparse type is the only check of its value.  `--scenario` and
+`--measure` take file paths.  All structured outputs are JSON, grids and
+traces are CSV, and files are written atomically (temp file + rename).
 
 The environment variable MEASURE_FW_THREADS caps the worker threads of every
 large influence sweep, such as the `influence-map` grid and `certify`'s
@@ -21,7 +23,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,29 +73,11 @@ def _load_measure(path: str) -> DiscreteMeasure:
         raise ScenarioError(f"malformed measure file: {exc}") from exc
 
 
-# `solve` option (argparse dest) -> the SolverConfig field it sets
-_SOLVE_FLAGS = {"iters": "max_outer_iters", "batch": "mc_batch_size", "tol": "fw_tolerance",
-                "restarts": "inner_restarts", "adam_steps": "adam_steps",
-                "correction_steps": "correction_steps"}
-
-
-def _config_from_args(args) -> SolverConfig:
-    """SolverConfig from the `solve` flags; a rejected value is an input error."""
-    given = {dest: getattr(args, dest) for dest in _SOLVE_FLAGS
-             if getattr(args, dest) is not None}
-    try:
-        return SolverConfig(seed=args.seed, **{_SOLVE_FLAGS[d]: v for d, v in given.items()})
-    except ValueError as exc:
-        # SolverConfig's messages read "<field> must be ..."
-        field, _, reason = str(exc).partition(" ")
-        dest = next(d for d in given if _SOLVE_FLAGS[d] == field)
-        flag = "--" + dest.replace("_", "-")
-        raise ScenarioError(f"{flag} {reason}, got {given[dest]!r}") from exc
-
-
 def cmd_solve(args) -> int:
     problem = load_scenario(args.scenario)
-    config = _config_from_args(args)
+    # the solve flags are named after the SolverConfig fields they set
+    config = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)
+                             if getattr(args, f.name) is not None})
     if args.algo == "fcfw":
         measure, trace = fcfw_solve(problem, config)
     elif args.algo == "dfw":
@@ -126,8 +110,6 @@ def _grid_h_values(kernel: InfluenceKernel, pts: np.ndarray) -> np.ndarray:
 
 
 def cmd_influence_map(args) -> int:
-    if args.resolution < 1:
-        raise ScenarioError(f"--resolution must be at least 1, got {args.resolution}")
     problem = load_scenario(args.scenario)
     measure = _load_measure(args.measure)
     kernel = _measure_kernel(measure, problem, SolverConfig(seed=args.seed))
@@ -154,10 +136,6 @@ def cmd_influence_map(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.grid < 1:
-        raise ScenarioError(f"--grid must be at least 1, got {args.grid}")
-    if not args.tol >= 0:  # also rejects NaN
-        raise ScenarioError(f"--tol must be nonnegative, got {args.tol!r}")
     problem = load_scenario(args.scenario)
     measure = _load_measure(args.measure)
     min_h, argmin = certify(measure, problem, args.grid, SolverConfig(seed=args.seed))
@@ -168,20 +146,16 @@ def cmd_certify(args) -> int:
     return EXIT_OK if certified else EXIT_NOT_CERTIFIED
 
 
-def cmd_oracle(args) -> int:
-    if args.oracle_cmd == "two-point":
-        lam1, lam2 = args.lambda1, args.lambda2
-        for flag, lam in (("--lambda1", lam1), ("--lambda2", lam2)):
-            if not lam >= 0:  # also rejects NaN
-                raise ScenarioError(f"{flag} must be nonnegative, got {lam!r}")
-        if abs(lam1 + lam2 - 1.0) > 1e-9:
-            raise ScenarioError(f"--lambda1 and --lambda2 must sum to 1, got {lam1!r} + {lam2!r}")
-        _check_budget_flag(args.budget)
-        mu = two_point_optimum(args.y1, args.y2, lam1, lam2, args.budget)
-        print(json.dumps(mu.to_json(), indent=2))
-        return EXIT_OK
-    if args.reps < 1:
-        raise ScenarioError(f"--reps must be at least 1, got {args.reps}")
+def cmd_two_point(args) -> int:
+    lam1, lam2 = args.lambda1, args.lambda2
+    if abs(lam1 + lam2 - 1.0) > 1e-9:
+        raise ScenarioError(f"--lambda1 and --lambda2 must sum to 1, got {lam1!r} + {lam2!r}")
+    mu = two_point_optimum(args.y1, args.y2, lam1, lam2, args.budget)
+    print(json.dumps(mu.to_json(), indent=2))
+    return EXIT_OK
+
+
+def cmd_simulate(args) -> int:
     problem = load_scenario(args.scenario)
     measure = _load_measure(args.measure)
     check_budget(measure, problem.budget)
@@ -192,35 +166,39 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _check_budget_flag(budget: float) -> None:
-    if not 0 < budget < math.inf:  # also rejects NaN
-        raise ScenarioError(f"--budget must be positive and finite, got {budget!r}")
-
-
 def cmd_make_city(args) -> int:
-    if args.units < 1:
-        raise ScenarioError(f"--units must be at least 1, got {args.units}")
-    _check_budget_flag(args.budget)
     doc = make_city(args.units, args.seed, budget=args.budget, norm=args.norm)
     _write_atomic(Path(args.out), json.dumps(doc, indent=2) + "\n")
     print(f"wrote {args.out} ({args.units} area units)")
     return EXIT_OK
 
 
+def _arg(convert, accept, expected: str):
+    """An argparse type: the value `convert` makes of the text, if `accept(value)`."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_count_arg = _arg(int, lambda v: v >= 1, "an integer >= 1")
+# NaN fails every comparison, so these reject it too
+_nonnegative_arg = _arg(float, lambda v: v >= 0, "a number >= 0")
+_budget_arg = _arg(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_point_arg = _arg(lambda text: [float(v) for v in text.split(",")],
+                  lambda p: len(p) == 2 and all(map(math.isfinite, p)),
+                  "'x,y' with finite coordinates")
+
+
 def _seed_arg(text: str) -> int:
     if not (text.isascii() and text.isdigit()):  # numpy takes nonnegative integer seeds
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
-
-
-def _point_arg(text: str) -> list:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'x,y', got {text!r}")
-    point = [float(parts[0]), float(parts[1])]
-    if not all(map(math.isfinite, point)):
-        raise argparse.ArgumentTypeError(f"coordinates must be finite, got {text!r}")
-    return point
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,20 +211,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run a solver on a scenario file")
     p.add_argument("--scenario", required=True)
     p.add_argument("--algo", choices=["fcfw", "dfw", "l1grid"], default="fcfw")
-    p.add_argument("--iters", type=int, default=None, help="outer iterations")
+    p.add_argument("--iters", dest="max_outer_iters", type=_count_arg, metavar="ITERS",
+                   help="outer iterations")
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--batch", type=int, default=None, help="sample size for continuous eta")
-    p.add_argument("--tol", type=float, default=None, help="stop when |h*| drops below")
-    p.add_argument("--restarts", type=int, default=None, help="Adam restarts per iteration")
-    p.add_argument("--adam-steps", dest="adam_steps", type=int, default=None)
-    p.add_argument("--correction-steps", dest="correction_steps", type=int, default=None)
+    p.add_argument("--batch", dest="mc_batch_size", type=_count_arg, metavar="BATCH",
+                   help="sample size for continuous eta")
+    p.add_argument("--tol", dest="fw_tolerance", type=_nonnegative_arg, metavar="TOL",
+                   help="stop when |h*| drops below")
+    p.add_argument("--restarts", dest="inner_restarts", type=_count_arg, metavar="RESTARTS",
+                   help="Adam restarts per iteration")
+    p.add_argument("--adam-steps", type=_count_arg)
+    p.add_argument("--correction-steps", type=_count_arg)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("influence-map", help="evaluate the influence function on a grid")
     p.add_argument("--scenario", required=True)
     p.add_argument("--measure", required=True)
-    p.add_argument("--resolution", type=int, required=True)
+    p.add_argument("--resolution", type=_count_arg, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.set_defaults(func=cmd_influence_map)
@@ -254,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="check the optimality certificate h >= -tol")
     p.add_argument("--scenario", required=True)
     p.add_argument("--measure", required=True)
-    p.add_argument("--grid", type=int, required=True)
-    p.add_argument("--tol", type=float, required=True)
+    p.add_argument("--grid", type=_count_arg, required=True)
+    p.add_argument("--tol", type=_nonnegative_arg, required=True)
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.set_defaults(func=cmd_certify)
 
@@ -264,22 +246,22 @@ def build_parser() -> argparse.ArgumentParser:
     q = osub.add_parser("two-point", help="analytic optimum for two demand points")
     q.add_argument("--y1", type=_point_arg, required=True, metavar="X,Y")
     q.add_argument("--y2", type=_point_arg, required=True, metavar="X,Y")
-    q.add_argument("--lambda1", type=float, required=True)
-    q.add_argument("--lambda2", type=float, required=True)
-    q.add_argument("--budget", type=float, required=True)
-    q.set_defaults(func=cmd_oracle)
+    q.add_argument("--lambda1", type=_nonnegative_arg, required=True)
+    q.add_argument("--lambda2", type=_nonnegative_arg, required=True)
+    q.add_argument("--budget", type=_budget_arg, required=True)
+    q.set_defaults(func=cmd_two_point)
     q = osub.add_parser("simulate", help="Monte-Carlo objective estimate")
     q.add_argument("--scenario", required=True)
     q.add_argument("--measure", required=True)
-    q.add_argument("--reps", type=int, required=True)
+    q.add_argument("--reps", type=_count_arg, required=True)
     q.add_argument("--seed", type=_seed_arg, default=0)
-    q.set_defaults(func=cmd_oracle)
+    q.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("make-city", help="emit a synthetic city scenario")
-    p.add_argument("--units", type=int, required=True)
+    p.add_argument("--units", type=_count_arg, required=True)
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--budget", type=float, default=1.0)
+    p.add_argument("--budget", type=_budget_arg, default=1.0)
     p.add_argument("--norm", choices=["l2", "l1"], default="l2")
     p.set_defaults(func=cmd_make_city)
     return parser
@@ -287,13 +269,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return exc.code
     args.raw_argv = argv
     try:
         worker_count()  # a malformed MEASURE_FW_THREADS fails before any work
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, TypeError) as exc:

@@ -280,8 +280,7 @@ def _incident_from_json(obj) -> IncidentDistribution:
 def load_scenario(source) -> Problem:
     """Build a validated Problem from a scenario document.
 
-    `source` may be a dict, a JSON string (first non-blank character '{'),
-    or a path to a JSON file.  Scenario schema::
+    `source` is a dict or the path to a JSON file.  Scenario schema::
 
         {"budget": number, "norm": "l2"|"l1",
          "beta": {"a": number, "c": number},
@@ -291,14 +290,11 @@ def load_scenario(source) -> Problem:
     if isinstance(source, dict):
         doc = source
     else:
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            path = Path(text)
-            if not path.is_file():
-                raise ScenarioError(f"scenario file not found: {path}")
-            text = path.read_text()
+        path = Path(source)
+        if not path.is_file():
+            raise ScenarioError(f"scenario file not found: {path}")
         try:
-            doc = json.loads(text)
+            doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid scenario JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -318,6 +314,8 @@ def load_scenario(source) -> Problem:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     bparams = doc.get("beta", {})
+    if not isinstance(bparams, dict):
+        raise ScenarioError(f"beta must be an object with fields 'a' and 'c', got {bparams!r}")
     try:
         curve = DeathCurve(
             float(bparams.get("a", DEFAULT_BETA_A)), float(bparams.get("c", DEFAULT_BETA_C))

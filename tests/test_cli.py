@@ -435,14 +435,6 @@ def test_outputs_round_trip_through_readers(three_point_file, tmp_path):
     json.loads((out / "manifest.json").read_text())
 
 
-def _exit_code(argv):
-    """main's return value, or the exit status argparse raised for a bad flag."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 def test_oracle_and_make_city_reject_bad_flags(tmp_path, capsys):
     two_point = ["oracle", "two-point", "--y1", "0,0", "--y2", "1,0", "--lambda1", "0.5",
                  "--lambda2", "0.5", "--budget", "1"]
@@ -451,7 +443,7 @@ def test_oracle_and_make_city_reject_bad_flags(tmp_path, capsys):
                         ("--y2", "nan,0"), ("--y1", "0,inf"), ("--y1", "1,2,3")):
         argv = list(two_point)
         argv[argv.index(flag) + 1] = value
-        assert _exit_code(argv) == 2
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert flag in captured.err
         assert captured.out == ""
@@ -540,7 +532,7 @@ def test_bad_seed_exits_2_from_every_command(two_point_file, tmp_path, capsys):
                 ["oracle", "simulate", *common, "--reps", "10"])
     for argv in commands:
         for seed in ("-1", "1.5", "x"):
-            assert _exit_code([*argv, "--seed", seed]) == 2, (argv[0], seed)
+            assert main([*argv, "--seed", seed]) == 2, (argv[0], seed)
             captured = capsys.readouterr()
             assert "--seed" in captured.err and captured.out == ""
             assert not out.exists()
@@ -564,3 +556,91 @@ def test_worker_count_follows_affinity_mask(monkeypatch):
     assert worker_count() == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert worker_count() == 1
+
+
+USAGE_ERRORS = {
+    # argv -> what stderr names
+    "no flags": (["solve"], "the following arguments are required: --scenario, --out"),
+    "bad algo": (["solve", "--scenario", "s.json", "--out", "o", "--algo", "sgd"],
+                 "argument --algo: invalid choice: 'sgd'"),
+    "unknown command": (["optimize"], "invalid choice: 'optimize'"),
+    "bad seed": (["make-city", "--units", "4", "--out", "c.json", "--seed", "x"],
+                 "argument --seed: expected a nonnegative integer, got 'x'"),
+    "bad point": (["oracle", "two-point", "--y1", "1,2,3", "--y2", "1,0", "--lambda1", "0.5",
+                   "--lambda2", "0.5", "--budget", "1"],
+                  "argument --y1: expected 'x,y' with finite coordinates, got '1,2,3'"),
+    "non-numeric point": (["oracle", "two-point", "--y1", "0,0", "--y2", "a,b", "--lambda1", "0.5",
+                           "--lambda2", "0.5", "--budget", "1"],
+                          "argument --y2: expected 'x,y' with finite coordinates, got 'a,b'"),
+    "count out of range": (["solve", "--scenario", "s.json", "--out", "o", "--iters", "0"],
+                           "argument --iters: expected an integer >= 1, got '0'"),
+    "Adam steps": (["solve", "--scenario", "s.json", "--out", "o", "--adam-steps", "-1"],
+                   "argument --adam-steps: expected an integer >= 1, got '-1'"),
+    "correction steps": (["solve", "--scenario", "s.json", "--out", "o",
+                          "--correction-steps", "2.5"],
+                         "argument --correction-steps: expected an integer >= 1, got '2.5'"),
+    "non-integer count": (["certify", "--scenario", "s.json", "--measure", "m.json",
+                           "--grid", "1e3", "--tol", "0"],
+                          "argument --grid: expected an integer >= 1, got '1e3'"),
+    "NaN tolerance": (["solve", "--scenario", "s.json", "--out", "o", "--tol", "nan"],
+                      "argument --tol: expected a number >= 0, got 'nan'"),
+    "infinite budget": (["make-city", "--units", "4", "--out", "c.json", "--budget", "inf"],
+                        "argument --budget: expected a positive finite number, got 'inf'"),
+}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_errors_return_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2  # returned, not raised
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_returns_0(capsys):
+    assert main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: measurefw") and captured.err == ""
+    assert main(["solve", "--help"]) == 0
+    assert "--iters ITERS" in capsys.readouterr().out
+
+
+def test_inline_json_scenario_exits_2_before_solving(tmp_path, capsys):
+    # a string is a path: JSON text names a file that does not exist, or one
+    # too long for the file system
+    out = tmp_path / "run"
+    for doc, message in ((THREE_POINT, "error: scenario file not found: {"),
+                         (_eta_scenario([[i, 0] for i in range(100)]), "error: ")):
+        assert main(["solve", "--scenario", json.dumps(doc), "--iters", "2",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.out == ""
+        assert not out.exists()
+
+
+def test_non_object_beta_exits_2(tmp_path, capsys):
+    sfile = tmp_path / "beta.json"
+    sfile.write_text(json.dumps(dict(THREE_POINT, beta=[1, 2])))
+    out = tmp_path / "run"
+    assert main(["solve", "--scenario", str(sfile), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error: beta must be an object with fields 'a' and 'c', got [1, 2]" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_unwritable_output_path_exits_2(three_point_file, two_point_file, tmp_path, capsys):
+    # a regular file where the output directory should be
+    taken = tmp_path / "taken.txt"
+    taken.write_text("kept")
+    mfile = tmp_path / "mu.json"
+    _write_measure(mfile, two_point_optimum([0, 0], [1, 0], 0.5, 0.5, 1.0))
+    for argv in (["solve", "--scenario", three_point_file, "--iters", "2", "--out", str(taken),
+                  *FAST_FLAGS],
+                 ["influence-map", "--scenario", two_point_file, "--measure", str(mfile),
+                  "--resolution", "4", "--out", str(taken / "map.csv")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno 17] File exists") and captured.out == ""
+        assert f"{taken}'" in captured.err
+        assert taken.read_text() == "kept"

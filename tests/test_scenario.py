@@ -150,9 +150,10 @@ def test_load_scenario_three_point(tmp_path):
     assert prob.norm == "l2"
     assert prob.curve == DeathCurve()
     assert prob.domain.n_vertices == 3  # defaults to the support hull
-    # also accepts raw JSON text and dicts
-    assert load_scenario(json.dumps(THREE_POINT_DOC)).budget == 1.0
-    assert load_scenario(THREE_POINT_DOC).budget == 1.0
+    assert load_scenario(THREE_POINT_DOC).budget == 1.0  # also accepts dicts
+    # a string is always a path, never JSON text
+    with pytest.raises(ScenarioError, match="scenario file not found"):
+        load_scenario(json.dumps(THREE_POINT_DOC))
 
 
 def test_discrete_eta_without_probs_is_uniform():
@@ -162,7 +163,7 @@ def test_discrete_eta_without_probs_is_uniform():
     assert np.array_equal(prob.eta.probs, np.full(3, 1.0 / 3))
 
 
-def test_load_scenario_errors():
+def test_load_scenario_errors(tmp_path):
     bad = dict(THREE_POINT_DOC)
     bad["eta"] = dict(THREE_POINT_DOC["eta"], probs=[0.3, 0.3, 0.3])
     with pytest.raises(ScenarioError, match="probabilities must sum to 1"):
@@ -175,8 +176,10 @@ def test_load_scenario_errors():
         load_scenario(dict(THREE_POINT_DOC, eta={"type": "gaussian"}))
     with pytest.raises(ScenarioError, match="not found"):
         load_scenario("no/such/file.json")
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
     with pytest.raises(ScenarioError, match="invalid scenario JSON"):
-        load_scenario("{not json")
+        load_scenario(str(bad_json))
     with pytest.raises(ScenarioError, match="must contain the support"):
         load_scenario(dict(THREE_POINT_DOC, domain=[[0, 0], [0.1, 0], [0, 0.1]]))
 
@@ -259,6 +262,15 @@ REJECTED = {
                          "malformed beta parameters"),
     "non-finite beta": (lambda: load_scenario(_doc(beta={"c": float("inf")})), ScenarioError,
                         "malformed beta parameters: death curve parameters must be finite"),
+    # dict(..., beta=None) keeps the field as JSON null; _doc would drop it
+    "beta null": (lambda: load_scenario(dict(THREE_POINT_DOC, beta=None)), ScenarioError,
+                  "beta must be an object with fields 'a' and 'c', got None"),
+    "beta list": (lambda: load_scenario(_doc(beta=[1, 2])), ScenarioError,
+                  r"beta must be an object with fields 'a' and 'c', got \[1, 2\]"),
+    "beta string": (lambda: load_scenario(_doc(beta="x")), ScenarioError,
+                    "beta must be an object with fields 'a' and 'c', got 'x'"),
+    "beta number": (lambda: load_scenario(_doc(beta=5)), ScenarioError,
+                    "beta must be an object with fields 'a' and 'c', got 5"),
     "malformed domain": (lambda: load_scenario(_doc(domain=[0, 0, 1, 0, 1, 1])), ScenarioError,
                          r"malformed domain: expected an \(n, 2\) array of points"),
     "empty discrete eta": (lambda: load_scenario(_doc(eta={"type": "discrete", "points": []})),
