@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 input error, 3 solver precondition violation,
 4 certification failed; `main` returns each one and never raises SystemExit.
 A flag's argparse type is the only check of its value.  `--scenario` and
-`--measure` take file paths.  All structured outputs are JSON, grids and
-traces are CSV, and files are written atomically (temp file + rename).
+`--measure` take file paths.  Structured outputs are JSON, grids and traces
+CSV, written atomically into a directory made before any solve or sweep.
 
 The environment variable MEASURE_FW_THREADS caps the worker threads of every
 large influence sweep, such as the `influence-map` grid and `certify`'s
@@ -33,7 +33,7 @@ from .geometry import contains_many
 from .measure import DiscreteMeasure, check_budget
 from .l1 import l1_solve_on_grid
 from .response import InfluenceKernel, simulate_objective, worker_count
-from .scenario import ScenarioError, load_scenario, make_city
+from .scenario import Problem, ScenarioError, _read_json, load_scenario, make_city
 from .solver import (
     SolverConfig,
     _measure_kernel,
@@ -51,7 +51,6 @@ EXIT_NOT_CERTIFIED = 4
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -63,34 +62,35 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _load_measure(path: str) -> DiscreteMeasure:
-    p = Path(path)
-    if not p.is_file():
-        raise ScenarioError(f"measure file not found: {p}")
+def _load_inputs(args) -> tuple[Problem, DiscreteMeasure]:
+    problem = load_scenario(args.scenario)
+    doc, _ = _read_json(args.measure, "measure")
     try:
-        return DiscreteMeasure.from_json(json.loads(p.read_text()))
-    except (json.JSONDecodeError, ValueError) as exc:
+        return problem, DiscreteMeasure.from_json(doc)
+    except ValueError as exc:
         raise ScenarioError(f"malformed measure file: {exc}") from exc
 
 
 def cmd_solve(args) -> int:
-    problem = load_scenario(args.scenario)
+    doc, data = _read_json(args.scenario)
+    problem = load_scenario(doc)
     # the solve flags are named after the SolverConfig fields they set
     config = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)
                              if getattr(args, f.name) is not None})
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     if args.algo == "fcfw":
         measure, trace = fcfw_solve(problem, config)
     elif args.algo == "dfw":
         measure, trace = dfw_solve(problem, config)
     else:
         measure, trace = l1_solve_on_grid(problem, config)
-    out = Path(args.out)
     # everything needed to reproduce the run, next to its outputs
     manifest = {
         "command": "solve",
         "argv": args.raw_argv,
         "scenario": args.scenario,
-        "scenario_sha256": hashlib.sha256(Path(args.scenario).read_bytes()).hexdigest(),
+        "scenario_sha256": hashlib.sha256(data).hexdigest(),  # of the bytes solved
         "config": asdict(config),
         "seed": config.seed,
         "out": str(out),
@@ -110,9 +110,9 @@ def _grid_h_values(kernel: InfluenceKernel, pts: np.ndarray) -> np.ndarray:
 
 
 def cmd_influence_map(args) -> int:
-    problem = load_scenario(args.scenario)
-    measure = _load_measure(args.measure)
+    problem, measure = _load_inputs(args)
     kernel = _measure_kernel(measure, problem, SolverConfig(seed=args.seed))
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     pts = lattice_points(problem.domain, args.resolution, inside_only=False)
     inside = contains_many(problem.domain, pts)
     h = np.full(len(pts), np.nan)
@@ -136,8 +136,7 @@ def cmd_influence_map(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    problem = load_scenario(args.scenario)
-    measure = _load_measure(args.measure)
+    problem, measure = _load_inputs(args)
     min_h, argmin = certify(measure, problem, args.grid, SolverConfig(seed=args.seed))
     certified = min_h >= -args.tol
     verdict = f"OPTIMAL({args.tol:g})" if certified else "NOT-OPTIMAL"
@@ -156,17 +155,16 @@ def cmd_two_point(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    problem = load_scenario(args.scenario)
-    measure = _load_measure(args.measure)
+    problem, measure = _load_inputs(args)
     check_budget(measure, problem.budget)
-    rng = np.random.default_rng(args.seed)
     est, se = simulate_objective(measure, problem.eta, problem.curve, problem.norm,
-                                 args.reps, rng)
+                                 args.reps, np.random.default_rng(args.seed))
     print(json.dumps({"estimate": est, "stderr": se, "reps": args.reps}))
     return EXIT_OK
 
 
 def cmd_make_city(args) -> int:
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     doc = make_city(args.units, args.seed, budget=args.budget, norm=args.norm)
     _write_atomic(Path(args.out), json.dumps(doc, indent=2) + "\n")
     print(f"wrote {args.out} ({args.units} area units)")

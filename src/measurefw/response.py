@@ -44,6 +44,7 @@ from .scenario import (
     DiscretePoints,
     ScenarioError,
     _beta_values,
+    _check_count,
     beta,
     sample_incident,
 )
@@ -120,8 +121,7 @@ class SampleBatch:
     @classmethod
     def draw(cls, eta, n: int, seed: int) -> "SampleBatch":
         """Draw n incident locations from eta with a dedicated seeded stream."""
-        if n < 1:
-            raise ValueError("batch size must be >= 1")
+        _check_count(n, "n")
         rng = np.random.default_rng(seed)
         return cls(sample_incident(eta, rng, size=n), seed)
 
@@ -538,9 +538,7 @@ def simulate_objective(
     objective directly thanks to the beta(0) offset.  It keeps `np.hypot`
     rather than `pairwise_distance`, so that it stays an independent oracle.
     """
-    reps = int(reps)
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    _check_count(reps, "reps")
     b = mu.budget
     beta0 = beta(curve, 0.0)
     nk = norm_key(norm)

@@ -109,6 +109,12 @@ def beta_prime(curve: DeathCurve, t):
     return out
 
 
+def _check_count(value, name: str, low: int = 1) -> None:
+    """Raise ValueError unless `value` is an integer (numpy integers too) >= `low`."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}")
+
+
 def _check_probs(probs: np.ndarray, what: str) -> np.ndarray:
     probs = np.asarray(probs, dtype=float).reshape(-1)
     if np.any(~np.isfinite(probs)) or np.any(probs < 0):
@@ -197,9 +203,7 @@ def sample_incident(eta: IncidentDistribution, rng, size=None):
         out = lo + u * (hi - lo)
     else:
         raise TypeError(f"unknown incident distribution type {type(eta).__name__}")
-    if size is None:
-        return out[0]
-    return out
+    return out[0] if size is None else out
 
 
 def support_hull(eta: IncidentDistribution) -> ConvexPolygon:
@@ -277,6 +281,22 @@ def _incident_from_json(obj) -> IncidentDistribution:
     raise ScenarioError(f"unknown eta type {kind!r}")
 
 
+def _read_json(path, kind="scenario") -> tuple[dict, bytes]:
+    """The JSON object in the `kind` file at `path`, and the bytes it was parsed from."""
+    path = Path(path)
+    if not path.is_file():
+        raise ScenarioError(f"{kind} file not found: {path}")
+    data = path.read_bytes()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # invalid UTF-8, invalid or too deep JSON
+        what = "invalid scenario JSON" if kind == "scenario" else f"malformed {kind} file"
+        raise ScenarioError(f"{what}: {exc}") from exc
+    if not isinstance(doc, dict):  # a JSON string is never followed as a path
+        raise ScenarioError(f"{kind} document must be a JSON object")
+    return doc, data
+
+
 def load_scenario(source) -> Problem:
     """Build a validated Problem from a scenario document.
 
@@ -287,22 +307,10 @@ def load_scenario(source) -> Problem:
          "eta": {"type": "discrete"|"uniform_rect"|"mixture", ...},
          "domain": [[x, y], ...]}        # optional; defaults to support hull
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        path = Path(source)
-        if not path.is_file():
-            raise ScenarioError(f"scenario file not found: {path}")
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"invalid scenario JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a JSON object")
-    if "budget" not in doc:
-        raise ScenarioError("scenario is missing required field 'budget'")
-    if "eta" not in doc:
-        raise ScenarioError("scenario is missing required field 'eta'")
+    doc = source if isinstance(source, dict) else _read_json(source)[0]
+    for field in ("budget", "eta"):
+        if field not in doc:
+            raise ScenarioError(f"scenario is missing required field {field!r}")
     try:
         budget = float(doc["budget"])
     except (TypeError, ValueError) as exc:
@@ -338,9 +346,7 @@ def make_city(units: int, seed: int, budget: float = 1.0, norm: str = "l2") -> d
     for empirical per-unit incident rates.  Returns a scenario document
     suitable for `load_scenario`.
     """
-    units = int(units)
-    if units < 1:
-        raise ScenarioError("units must be >= 1")
+    _check_count(units, "units")
     rng = np.random.default_rng(seed)
     cols = int(math.ceil(math.sqrt(units)))
     weights = rng.lognormal(mean=0.0, sigma=1.25, size=units)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +31,7 @@ from .geometry import (L1, L2, ConvexPolygon, _project, build_grid, contains_man
 from .measure import MERGE_EPS, DiscreteMeasure, check_budget
 from .response import (InfluenceKernel, SampleBatch, _SimplexObjective, correction_gradient,
                        demand_of, smoothness_constant)
-from .scenario import DiscretePoints, Problem
+from .scenario import DiscretePoints, Problem, _check_count
 
 __all__ = [
     "SolverConfig",
@@ -68,12 +69,10 @@ class SolverConfig:
     def __post_init__(self):
         for name, low in (("max_outer_iters", 1), ("inner_restarts", 1), ("adam_steps", 1),
                           ("correction_steps", 1), ("mc_batch_size", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}")
-        # written as `not x >= 0` so that NaN is rejected too
-        if not float(self.fw_tolerance) >= 0:
-            raise ValueError("fw_tolerance must be nonnegative")
+            _check_count(getattr(self, name), name, low)
+        # NaN fails `>= 0`, so it is rejected too
+        if not (isinstance(self.fw_tolerance, numbers.Real) and self.fw_tolerance >= 0):
+            raise ValueError("fw_tolerance must be a real number >= 0")
 
 
 @dataclass
@@ -453,8 +452,7 @@ def certify(mu: DiscreteMeasure, problem: Problem, grid_resolution: int,
     lattice runs on up to `worker_count()` threads, with the same result
     for any count; a malformed MEASURE_FW_THREADS then raises ScenarioError.
     """
-    if grid_resolution < 1:
-        raise ValueError("grid_resolution must be >= 1")
+    _check_count(grid_resolution, "grid_resolution")
     kernel = _measure_kernel(mu, problem, config)
     pts = lattice_points(problem.domain, grid_resolution, inside_only=True)
     cands = np.vstack([pts, *_candidate_pool(kernel, problem)])

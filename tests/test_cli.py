@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from measurefw import (
     load_scenario,
     two_point_optimum,
 )
+from measurefw import cli
 from measurefw.cli import _write_atomic, main
 from measurefw.geometry import contains_many
 from measurefw.response import _THREAD_MIN_ELEMS, InfluenceKernel
@@ -54,6 +56,9 @@ def two_point_file(tmp_path):
     return str(path)
 
 
+# Latin-1 text: the byte 0xe9 is not valid UTF-8
+LATIN1_SCENARIO = b'{"budget": 1.0, "note": "caf\xe9"}'
+
 FAST_FLAGS = ["--restarts", "3", "--adam-steps", "30", "--correction-steps", "25"]
 
 
@@ -71,7 +76,61 @@ def test_solve_writes_outputs(three_point_file, tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "solve"
     assert manifest["seed"] == 1
-    assert manifest["scenario_sha256"]
+    assert manifest["scenario_sha256"] == hashlib.sha256(
+        Path(three_point_file).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("change", ["rewrite", "delete"])
+def test_manifest_hashes_the_scenario_bytes_solved(change, three_point_file, tmp_path,
+                                                   monkeypatch):
+    scenario = Path(three_point_file)
+    solved = hashlib.sha256(scenario.read_bytes()).hexdigest()
+    real_solve = cli.fcfw_solve
+
+    def solve_then_change(problem, config):
+        if change == "rewrite":
+            scenario.write_text(json.dumps(TWO_POINT))
+        else:
+            scenario.unlink()
+        return real_solve(problem, config)
+
+    monkeypatch.setattr(cli, "fcfw_solve", solve_then_change)
+    out = tmp_path / "run"
+    assert main(["solve", "--scenario", str(scenario), "--iters", "2",
+                 "--out", str(out), *FAST_FLAGS]) == 0
+    assert json.loads((out / "manifest.json").read_text())["scenario_sha256"] == solved
+
+
+def test_unusable_out_exits_2_before_any_work(three_point_file, tmp_path, monkeypatch,
+                                              capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "fcfw_solve", no_work)
+    monkeypatch.setattr(InfluenceKernel, "influence", no_work)
+    mfile = tmp_path / "mu.json"
+    _write_measure(mfile, DiscreteMeasure([[0.5, 0.3]], [1.0]))
+    taken = tmp_path / "taken"  # a regular file, so no directory can be made there
+    taken.write_text("kept")
+    for argv in (["solve", "--scenario", three_point_file, "--out", str(taken)],
+                 ["influence-map", "--scenario", three_point_file, "--measure", str(mfile),
+                  "--resolution", "4", "--out", str(taken / "map.csv")],
+                 ["make-city", "--units", "4", "--out", str(taken / "city.json")]):
+        assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert taken.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mu.json", "taken", "three.json"]
+
+
+def test_undecodable_scenario_exits_2(tmp_path, capsys):
+    sfile = tmp_path / "latin1.json"
+    sfile.write_bytes(LATIN1_SCENARIO)
+    out = tmp_path / "run"
+    assert main(["solve", "--scenario", str(sfile), "--iters", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "invalid scenario JSON" in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_solve_rerun_reproduces_trace(three_point_file, tmp_path):
@@ -471,29 +530,41 @@ def test_oracle_and_make_city_reject_bad_flags(tmp_path, capsys):
 
 
 MALFORMED_INPUT_FILES = [
-    # (which file, its text, the error message)
+    # (which file, its text or bytes, the error message)
     ("scenario", "{not json", "invalid scenario JSON"),
+    ("scenario", LATIN1_SCENARIO, "invalid scenario JSON"),
     ("scenario", "[1, 2]", "scenario document must be a JSON object"),
+    ("scenario", "5", "scenario document must be a JSON object"),
+    ("scenario", "null", "scenario document must be a JSON object"),
+    # names the valid two-point file in the working directory: never followed
+    ("scenario", '"two.json"', "scenario document must be a JSON object"),
     ("scenario", '{"budget": 1.0}', "scenario is missing required field 'eta'"),
     ("scenario", '{"budget": 1.0, "eta": {"type": "discrete", "points": []}}',
      "malformed eta: expected an (n, 2) array of points, got shape (0,)"),
     ("measure", None, "measure file not found"),
     ("measure", "{not json", "malformed measure file"),
+    ("measure", "[1, 2]", "measure document must be a JSON object"),
     ("measure", '{"atoms": [{"x": 0, "y": 0, "w": 1}]}', "malformed measure file"),
+    ("measure", b'{"atoms": [], "note": "caf\xe9"}', "malformed measure file"),
 ]
 
 
 @pytest.mark.parametrize("which, text, message", MALFORMED_INPUT_FILES)
-def test_malformed_input_files_exit_2(which, text, message, two_point_file, tmp_path, capsys):
+def test_malformed_input_files_exit_2(which, text, message, two_point_file, tmp_path, capsys,
+                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
     files = {"scenario": two_point_file, "measure": str(tmp_path / "mu.json")}
     _write_measure(files["measure"], two_point_optimum([0, 0], [1, 0], 0.5, 0.5, 1.0))
     files[which] = str(tmp_path / "bad.json")
     if text is not None:
-        Path(files[which]).write_text(text)
+        Path(files[which]).write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "map.csv"
     common = ["--scenario", files["scenario"], "--measure", files["measure"]]
-    for argv in (["certify", *common, "--grid", "4", "--tol", "1e-3"],
-                 ["influence-map", *common, "--resolution", "4", "--out", str(out)]):
+    argvs = [["certify", *common, "--grid", "4", "--tol", "1e-3"],
+             ["influence-map", *common, "--resolution", "4", "--out", str(out)]]
+    if which == "scenario":  # solve reads no measure file
+        argvs.append(["solve", "--scenario", files["scenario"], "--out", str(out)])
+    for argv in argvs:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""

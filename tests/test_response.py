@@ -297,6 +297,11 @@ REJECTED_CALLS = {
     "kernel without atoms": (
         lambda: InfluenceKernel(np.empty((0, 2)), [], TWO_DEMAND, [0.5, 0.5], CURVE, "l2"),
         "measure must have at least one atom"),
+    "fractional batch size": (lambda: SampleBatch.draw(TRI, 2.5, 0),
+                              "^n must be an integer >= 1$"),
+    "fractional reps": (lambda: simulate_objective(DiscreteMeasure(TWO_ATOMS, [0.5, 0.5]), TRI,
+                                                   CURVE, "l2", 2.5, np.random.default_rng(0)),
+                        "^reps must be an integer >= 1$"),
     "derivative at budget 0": (
         lambda: directional_derivative(DiscreteMeasure([[0.0, 0.0]], [0.0]),
                                        DiscreteMeasure([[1.0, 0.0]], [0.0]), TRI, CURVE),

@@ -180,6 +180,12 @@ def test_load_scenario_errors(tmp_path):
     bad_json.write_text("{not json")
     with pytest.raises(ScenarioError, match="invalid scenario JSON"):
         load_scenario(str(bad_json))
+    bad_json.write_bytes(b'{"budget": 1.0, "note": "caf\xe9"}')  # Latin-1, not UTF-8
+    with pytest.raises(ScenarioError, match="invalid scenario JSON: 'utf-8' codec"):
+        load_scenario(str(bad_json))
+    bad_json.write_text("[" * 100_000 + "]" * 100_000)  # nested deeper than json can parse
+    with pytest.raises(ScenarioError, match="invalid scenario JSON: maximum recursion depth"):
+        load_scenario(str(bad_json))
     with pytest.raises(ScenarioError, match="must contain the support"):
         load_scenario(dict(THREE_POINT_DOC, domain=[[0, 0], [0.1, 0], [0, 0.1]]))
 
@@ -205,7 +211,7 @@ def test_make_city():
     assert len(single["eta"]["components"]) == 1
     assert single["eta"]["components"][0]["prob"] == pytest.approx(1.0)
     assert make_city(12, seed=9) == make_city(12, seed=9)  # seed determinism
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ValueError, match="^units must be an integer >= 1$"):
         make_city(0, seed=1)
 
 
@@ -276,6 +282,8 @@ REJECTED = {
     "empty discrete eta": (lambda: load_scenario(_doc(eta={"type": "discrete", "points": []})),
                            ScenarioError, r"malformed eta: expected an \(n, 2\) array of points, "
                            r"got shape \(0,\)"),
+    "fractional city units": (lambda: make_city(2.5, seed=1), ValueError,
+                              "^units must be an integer >= 1$"),
     "empty discrete eta with probs": (
         lambda: load_scenario(_doc(eta={"type": "discrete", "points": [], "probs": []})),
         ScenarioError, r"malformed eta: expected an \(n, 2\) array of points, got shape \(0,\)"),

@@ -397,7 +397,9 @@ def test_trace_csv_round_trip():
 
 REJECTED_CALLS = {
     "certify grid 0": (lambda: certify(TRI_UNIFORM, TRI_PROBLEM, 0, SolverConfig(**FAST)),
-                       "grid_resolution must be >= 1"),
+                       "^grid_resolution must be an integer >= 1$"),
+    "certify grid 2.5": (lambda: certify(TRI_UNIFORM, TRI_PROBLEM, 2.5, SolverConfig(**FAST)),
+                         "^grid_resolution must be an integer >= 1$"),
     "NaN projection input": (lambda: simplex_project([0.5, np.nan]),
                              "vector entries must be finite"),
     "trace header": (lambda: SolveTrace.read_csv(io.StringIO("k,J,h\n0,0.1,-0.01\n")),
@@ -426,8 +428,10 @@ def test_solver_config_validation():
         SolverConfig(max_outer_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(fw_tolerance=-1.0)
-    with pytest.raises(ValueError, match="fw_tolerance"):
-        SolverConfig(fw_tolerance=float("nan"))
+    for bad in (float("nan"), "0.1", None):
+        with pytest.raises(ValueError, match="^fw_tolerance must be a real number >= 0$"):
+            SolverConfig(fw_tolerance=bad)
+    assert SolverConfig(fw_tolerance=np.float32(0.5)).fw_tolerance == 0.5
     counts = ("max_outer_iters", "inner_restarts", "adam_steps", "correction_steps",
               "mc_batch_size")
     for name in counts:
